@@ -11,11 +11,12 @@ hyperplanes {x_i = x_j : (i, j) inverted}.
 Regions are enumerated combinatorially: a region is determined by its
 sign vector over the inverted pairs, and the achievable sign vectors are
 exactly the restrictions of inversion sets of arbitrary permutations to
-I(w).  The base region is the identity chamber x_1 < x_2 < ... < x_n
-(the all-zero sign vector); a region's distance is the number of
-hyperplanes separating it from the base, so the distance enumerator of
-the full braid arrangement (w longest) matches the weak-order Poincare
-polynomial of the whole group.
+I(w), read off the inversion masks of the whole-group table
+(``perm.group_table``, n <= 8).  The base region is the identity chamber
+x_1 < x_2 < ... < x_n (the all-zero sign vector); a region's distance is
+the number of hyperplanes separating it from the base, so the distance
+enumerator of the full braid arrangement (w longest) matches the
+weak-order Poincare polynomial of the whole group.
 
 >>> w = Permutation((2, 5, 1, 3, 4))
 >>> g = inversion_graph(w)
@@ -32,14 +33,20 @@ polynomial of the whole group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .perm import Permutation, all_inversion_masks, inversion_mask, inversion_set
+import numpy as np
+
+from .perm import (
+    Permutation,
+    group_table,
+    inversion_mask,
+    inversion_set,
+    length_polynomial,
+)
 from .qpoly import QPolynomial, checked_int64
 
 MAX_AO_VERTICES = 12
 MAX_BRUTE_EDGES = 16
-MAX_REGION_N = 8
 
 
 @dataclass(frozen=True)
@@ -328,30 +335,21 @@ def regions(w: Permutation) -> RegionSet:
     >>> regions(Permutation.longest(3)).size
     6
     """
-    n = w.n
-    if n > MAX_REGION_N:
-        raise ValueError(f"regions supports n <= {MAX_REGION_N}, got n={n}")
     target = inversion_mask(w.word)
-    restricted = {mask & target for mask in all_inversion_masks(n)}
+    restricted = group_table(w.n).region_signs(target)
+    # compact the sign bits onto the inverted pairs, one slot at a time
+    signs = np.zeros_like(restricted)
+    slots = [slot for slot in range(target.bit_length()) if target >> slot & 1]
+    for t, slot in enumerate(slots):
+        signs |= (restricted >> np.uint64(slot) & np.uint64(1)) << np.uint64(t)
     hyperplanes = tuple(sorted(inversion_set(w).pairs()))
-    slots = [t for t in range(target.bit_length()) if target >> t & 1]
-    signs = set()
-    for mask in restricted:
-        compact = 0
-        for t, slot in enumerate(slots):
-            if mask >> slot & 1:
-                compact |= 1 << t
-        signs.add(compact)
-    return RegionSet(n=n, hyperplanes=hyperplanes, signs=frozenset(signs))
+    return RegionSet(n=w.n, hyperplanes=hyperplanes, signs=frozenset(signs.tolist()))
 
 
 def distance_of_regions(rs: RegionSet) -> QPolynomial:
     """Generating function of region distances from the base chamber."""
-    top = max(s.bit_count() for s in rs.signs)
-    counts = [0] * (top + 1)
-    for s in rs.signs:
-        counts[s.bit_count()] += 1
-    return QPolynomial(tuple(counts))
+    signs = np.fromiter(rs.signs, dtype=np.uint64, count=rs.size)
+    return length_polynomial(np.bitwise_count(signs))
 
 
 def distance_enumerator(w: Permutation) -> QPolynomial:

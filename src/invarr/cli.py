@@ -175,7 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
     p_sweep.add_argument("--output", help="write the report here instead of stdout")
     p_sweep.add_argument(
-        "--parallelism", type=int, default=None, help="worker count (default: cores)"
+        "--parallelism",
+        type=int,
+        default=None,
+        help="worker count (default: the CPUs this process may run on)",
     )
     p_sweep.add_argument(
         "--long", action="store_true", help="confirm a multi-minute n >= 8 sweep"

@@ -4,10 +4,13 @@ Left weak order is containment of inversion sets: u <= w exactly when
 I(u) is a subset of I(w).  Intervals [id, w] are computed by breadth-first
 search upward from the identity, multiplying on the left by adjacent
 transpositions and keying visited states by inversion mask, so each state
-is O(n) work.  Bruhat order uses the sorted-prefix dominance criterion;
-a slow chain-closure oracle implements the definition directly
-(downward transposition steps, each strictly dropping the inversion
-count) for cross-validation.
+is O(n) work; this route serves every n <= 12.  For n <= 8 the same
+interval is also a filter of the whole-group table (``perm.group_table``)
+by mask containment, the fast route of the sweeps, which the BFS checks.
+Bruhat intervals filter the same table with the sorted-prefix dominance
+criterion; a slow chain-closure oracle implements the definition
+directly (downward transposition steps, each strictly dropping the
+inversion count) for cross-validation.
 
 >>> w = Permutation((2, 5, 1, 3, 4))
 >>> weak_interval(w).size
@@ -23,14 +26,17 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+import numpy as np
+
 from .perm import (
-    PATTERN_231,
+    GroupTable,
     Permutation,
     Word,
     _pair_tables,
+    group_table,
     inversion_mask,
     inversion_set,
-    iter_words,
+    length_polynomial,
     lehmer_code,
 )
 from .qpoly import QPolynomial
@@ -38,8 +44,6 @@ from .qpoly import QPolynomial
 # Weak intervals grow with wk(w), up to n! states; the hard cap only
 # rejects sizes where even the identity's tables would be unreasonable.
 MAX_WEAK_N = 12
-MAX_BRUHAT_N = 8
-MAX_FILTER_ORACLE_N = 8
 MAX_CHAIN_ORACLE_N = 6
 
 
@@ -136,30 +140,35 @@ def weak_interval(w: Permutation, with_elements: bool = False) -> IntervalSummar
     )
 
 
-def weak_interval_by_filter(w: Permutation, with_elements: bool = False) -> IntervalSummary:
-    """Oracle for weak_interval: filter all of S_n by inversion-set containment."""
-    n = w.n
-    if n > MAX_FILTER_ORACLE_N:
-        raise ValueError(
-            f"filter oracle supports n <= {MAX_FILTER_ORACLE_N}, got n={n}"
-        )
-    target = inversion_mask(w.word)
-    by_rank: dict[int, int] = {}
-    kept: list[Word] = []
-    for word in iter_words(n):
-        mask = inversion_mask(word)
-        if mask & ~target == 0:
-            by_rank[mask.bit_count()] = by_rank.get(mask.bit_count(), 0) + 1
-            if with_elements:
-                kept.append(word)
-    top = max(by_rank)
-    coeffs = tuple(by_rank.get(d, 0) for d in range(top + 1))
-    elements = tuple(Permutation(word) for word in kept) if with_elements else None
+def _table_interval(
+    table: GroupTable, below: np.ndarray, max_length: int, with_elements: bool
+) -> IntervalSummary:
+    """Summarize the table rows selected by the boolean mask ``below``.
+
+    Rows are in lexicographic order, so ``elements`` come out sorted.
+    """
     return IntervalSummary(
-        size=sum(by_rank.values()),
-        poincare=QPolynomial(coeffs),
-        max_length=target.bit_count(),
-        elements=elements,
+        size=int(np.count_nonzero(below)),
+        poincare=length_polynomial(table.inv[below]),
+        max_length=max_length,
+        elements=(
+            tuple(Permutation(tuple(u)) for u in table.words[below].tolist())
+            if with_elements
+            else None
+        ),
+    )
+
+
+def weak_interval_by_filter(w: Permutation, with_elements: bool = False) -> IntervalSummary:
+    """weak_interval for n <= 8: the group-table rows whose mask lies in I(w).
+
+    >>> print(weak_interval_by_filter(Permutation((2, 5, 1, 3, 4))).poincare)
+    1 + q + 2q^2 + 2q^3 + q^4
+    """
+    table = group_table(w.n)
+    target = inversion_mask(w.word)
+    return _table_interval(
+        table, table.weak_below(target), target.bit_count(), with_elements
     )
 
 
@@ -199,26 +208,12 @@ def bruhat_interval(w: Permutation, with_elements: bool = False) -> IntervalSumm
     >>> [str(u) for u in summary.elements]
     ['123', '132', '213', '312']
     """
-    n = w.n
-    if n > MAX_BRUHAT_N:
-        raise ValueError(f"bruhat_interval supports n <= {MAX_BRUHAT_N}, got n={n}")
-    target = w.word
-    by_rank: dict[int, int] = {}
-    kept: list[Word] = []
-    for word in iter_words(n):
-        if _bruhat_leq_words(word, target):
-            d = inversion_mask(word).bit_count()
-            by_rank[d] = by_rank.get(d, 0) + 1
-            if with_elements:
-                kept.append(word)
-    top = max(by_rank)
-    coeffs = tuple(by_rank.get(d, 0) for d in range(top + 1))
-    elements = tuple(Permutation(word) for word in kept) if with_elements else None
-    return IntervalSummary(
-        size=sum(by_rank.values()),
-        poincare=QPolynomial(coeffs),
-        max_length=inversion_mask(target).bit_count(),
-        elements=elements,
+    table = group_table(w.n)
+    return _table_interval(
+        table,
+        table.bruhat_below(w.word),
+        inversion_mask(w.word).bit_count(),
+        with_elements,
     )
 
 
@@ -250,16 +245,10 @@ def bruhat_interval_by_chains(w: Permutation, with_elements: bool = False) -> In
                             visited.add(key)
                             nxt.append(key)
         frontier = nxt
-    by_rank: dict[int, int] = {}
-    for word in visited:
-        d = inversion_mask(word).bit_count()
-        by_rank[d] = by_rank.get(d, 0) + 1
-    top = max(by_rank)
-    coeffs = tuple(by_rank.get(d, 0) for d in range(top + 1))
     elements = tuple(Permutation(word) for word in sorted(visited)) if with_elements else None
     return IntervalSummary(
         size=len(visited),
-        poincare=QPolynomial(coeffs),
+        poincare=length_polynomial([inversion_mask(word).bit_count() for word in visited]),
         max_length=inversion_mask(w.word).bit_count(),
         elements=elements,
     )

@@ -4,8 +4,9 @@ A permutation is the word (w_1, ..., w_n) of its values; positions and
 values are 1-based at every public boundary.  This module owns the
 vocabulary the rest of the library consumes: inversion sets realized as
 bit masks over the C(n, 2) position pairs, Lehmer codes and their
-products, pattern containment, and the transitivity test that
-characterizes which pair sets are inversion sets.
+products, pattern containment, the transitivity test that
+characterizes which pair sets are inversion sets, and the one cached
+per-n table of the whole group that every whole-group route reads.
 
 The inversion set of w is I(w) = {(i, j) : i < j, w_i > w_j}, a set of
 POSITION pairs.  Pair (i, j) with i < j is assigned the bit slot given
@@ -31,12 +32,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .qpoly import checked_int64
+import numpy as np
+
+from .qpoly import QPolynomial, checked_int64
 
 Word = tuple[int, ...]
 
-# Largest n for the factorial-time helpers (full-group mask tables).
-MAX_GROUP_N = 10
+# Largest n of the whole-group table: 8! rows, C(8, 2) = 28 mask bits.
+MAX_TABLE_N = 8
 # code_product of the longest element is n!; 20! < 2^63 <= 21!.
 MAX_CODE_PRODUCT_N = 20
 
@@ -377,13 +380,72 @@ def unrank_lex(n: int, rank: int) -> Permutation:
     return Permutation(tuple(out))
 
 
-@lru_cache(maxsize=4)
-def all_inversion_masks(n: int) -> tuple[int, ...]:
-    """Inversion masks of every word of S_n, in lexicographic word order.
+def length_polynomial(lengths) -> QPolynomial:
+    """Rank generating function of a set of elements, given their lengths.
 
-    Cached; the factorial-size table backs region enumeration and the
-    exhaustive sweeps.
+    >>> print(length_polynomial([0, 1, 1, 2]))
+    1 + 2q + q^2
     """
-    if n > MAX_GROUP_N:
-        raise ValueError(f"full-group tables support n <= {MAX_GROUP_N}, got n={n}")
-    return tuple(inversion_mask(word) for word in iter_words(n))
+    return QPolynomial(tuple(np.bincount(lengths).tolist()))
+
+
+def _dominance_counts(words: np.ndarray) -> np.ndarray:
+    """Per row, the flattened counts R[i][j] = #{a <= i : w_a >= j + 1}."""
+    n = words.shape[1]
+    ge = words[:, :, None] >= np.arange(1, n + 1, dtype=np.int8)
+    return np.cumsum(ge, axis=1, dtype=np.uint8).reshape(len(words), n * n)
+
+
+@dataclass(frozen=True, eq=False)
+class GroupTable:
+    """Every word of S_n, row k holding the word of lexicographic rank k.
+
+    ``masks`` use the slots of ``pair_slot``; ``dom`` holds the Bruhat
+    dominance counts, with u <= w exactly when ``dom[u] <= dom[w]``
+    entrywise.
+    """
+
+    n: int
+    words: np.ndarray  # (n!, n) int8
+    masks: np.ndarray  # (n!,) uint64 inversion masks
+    inv: np.ndarray  # (n!,) uint8 inversion counts
+    dom: np.ndarray  # (n!, n * n) uint8 dominance counts
+
+    def weak_below(self, target_mask: int) -> np.ndarray:
+        """Rows u with I(u) inside ``target_mask``: u <= w in left weak order."""
+        return (self.masks & ~np.uint64(target_mask)) == 0
+
+    def bruhat_below(self, word: Word) -> np.ndarray:
+        """Rows u <= ``word`` in Bruhat order."""
+        target = _dominance_counts(np.array([word], dtype=np.int8))[0]
+        return (self.dom <= target).all(axis=1)
+
+    def region_signs(self, target_mask: int) -> np.ndarray:
+        """The distinct restrictions of the rows' inversion sets to ``target_mask``."""
+        return np.unique(self.masks & np.uint64(target_mask))
+
+
+@lru_cache(maxsize=MAX_TABLE_N)
+def group_table(n: int) -> GroupTable:
+    """The cached table of S_n (one per n <= 8, about 3.3 MB at n = 8).
+
+    >>> table = group_table(3)
+    >>> table.words[5].tolist(), int(table.masks[5]), int(table.inv[5])
+    ([3, 2, 1], 7, 3)
+    """
+    if not 1 <= n <= MAX_TABLE_N:
+        raise ValueError(f"whole-group tables support n <= {MAX_TABLE_N}, got n={n}")
+    words = np.array(list(iter_words(n)), dtype=np.int8)
+    masks = np.zeros(len(words), dtype=np.uint64)
+    for slot, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        masks |= (words[:, i] > words[:, j]).astype(np.uint64) << np.uint64(slot)
+    table = GroupTable(
+        n=n,
+        words=words,
+        masks=masks,
+        inv=np.bitwise_count(masks),
+        dom=_dominance_counts(words),
+    )
+    for array in (table.words, table.masks, table.inv, table.dom):
+        array.setflags(write=False)  # every caller shares the cached arrays
+    return table

@@ -1,14 +1,14 @@
 """Exhaustive verification sweeps over small symmetric groups.
 
-For every permutation of S_n (or a deterministic sample where noted) the
-sweep assembles one record of the five statistics
+For every permutation of S_n, n <= 8, the sweep assembles one record of
+the six statistics
 
     wk  size of the weak-order interval [id, w]
     br  size of the Bruhat-order interval [id, w]
     prod  product of (Lehmer code entries + 1)
     ao  acyclic orientations of the inversion graph
     rk  rook placements on the complement of the south-west diagram
-    re  regions of the inversion arrangement (oracle, scheduled)
+    re  regions of the inversion arrangement (filled at full depth)
 
 plus pattern-avoidance flags and, at the deeper settings, the rank
 generating polynomials.  Every stated inequality, equality, and
@@ -16,14 +16,16 @@ pattern-characterized equality among the statistics is checked on every
 record; violations are collected with their full records, and empirical
 class counts summarize the sweep.
 
-Bulk Bruhat sizes use a precomputed dominance table: the count matrix
-R_w[i][j] = #{a <= i : w_a >= j} flattened per permutation, with
-u <= w exactly when R_u <= R_w entrywise.  The table is built once per n
-and shared; numpy keeps the (n!, n^2) comparison affordable.
+Every whole-group quantity reads one cached table per n
+(``perm.group_table``): weak intervals select the rows whose inversion
+mask lies inside I(w), Bruhat intervals the rows whose dominance counts
+R_u[i][j] = #{a <= i : w_a >= j} lie entrywise below R_w, and regions
+are the distinct restrictions of the masks to I(w).  The table is built
+once per n, before any worker forks.
 
-The region oracle runs in full for n <= 6 and on a fixed sample of 1000
-evenly spaced lexicographic ranks at n = 7; sweeping with the oracle at
-n = 8 is rejected.
+At depths ``polys`` and ``with_region_oracle`` every record gets its
+regions and their distance enumerator; only ``with_region_oracle`` also
+reports the region count ``re``.
 
 >>> report = sweep(3, depth="with_region_oracle")
 >>> [r.wk for r in report.records]
@@ -41,7 +43,6 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -52,22 +53,20 @@ from .perm import (
     PATTERN_312,
     POINCARE_MATCH_PATTERNS,
     REGION_BRUHAT_EQUALITY_PATTERNS,
+    GroupTable,
     Permutation,
     Word,
-    all_inversion_masks,
     avoids_all,
     code_product,
     contains_pattern,
-    inversion_mask,
+    group_table,
     iter_words,
+    length_polynomial,
     lehmer_code,
 )
 from .qpoly import QPolynomial
 
 DEPTHS = ("counts", "polys", "with_region_oracle")
-ORACLE_SAMPLE_SIZE = 1000
-MAX_SWEEP_N = 8
-MAX_ORACLE_SWEEP_N = 7
 
 CLASS_KEYS = (
     "re_eq_wk",
@@ -148,73 +147,25 @@ class OracleCheckResult:
 
 
 # ---------------------------------------------------------------------------
-# shared per-n tables
-
-
-@dataclass
-class _GroupTables:
-    n: int
-    dom: np.ndarray  # (n!, n * n) uint8 count matrices
-    inv: np.ndarray  # (n!,) uint8 inversion counts
-
-
-@lru_cache(maxsize=3)
-def _group_tables(n: int) -> _GroupTables:
-    words = np.array(list(iter_words(n)), dtype=np.int8)
-    ge = words[:, :, None] >= np.arange(1, n + 1, dtype=np.int8)[None, None, :]
-    dom = np.cumsum(ge, axis=1, dtype=np.uint8).reshape(len(words), n * n)
-    inv = np.fromiter(
-        (m.bit_count() for m in all_inversion_masks(n)),
-        dtype=np.uint8,
-        count=len(words),
-    )
-    return _GroupTables(n=n, dom=dom, inv=inv)
-
-
-def _dominance_vector(word: Word, n: int) -> np.ndarray:
-    values = np.array(word, dtype=np.int8)
-    ge = values[:, None] >= np.arange(1, n + 1, dtype=np.int8)[None, :]
-    return np.cumsum(ge, axis=0, dtype=np.uint8).reshape(n * n)
-
-
-def _bulk_bruhat(word: Word, tables: _GroupTables, want_poly: bool):
-    below = (tables.dom <= _dominance_vector(word, tables.n)).all(axis=1)
-    size = int(below.sum())
-    if not want_poly:
-        return size, None
-    counts = np.bincount(tables.inv[below])
-    return size, QPolynomial(tuple(int(c) for c in counts))
-
-
-# ---------------------------------------------------------------------------
 # records and checks
 
 
-def _oracle_ranks(n: int, depth: str) -> frozenset[int]:
-    """Lexicographic ranks whose records get the region oracle."""
-    if depth == "counts":
-        return frozenset()
-    if n <= 6:
-        return frozenset(range(factorial(n)))
-    if n == 7:
-        total = factorial(7)
-        return frozenset(k * total // ORACLE_SAMPLE_SIZE for k in range(ORACLE_SAMPLE_SIZE))
-    return frozenset()
+def _bulk_bruhat(word: Word, tables: GroupTable, want_poly: bool):
+    below = tables.bruhat_below(word)
+    size = int(np.count_nonzero(below))
+    if not want_poly:
+        return size, None
+    return size, length_polynomial(tables.inv[below])
 
 
-def _build_record(
-    word: Word,
-    depth: str,
-    run_oracle: bool,
-    tables: _GroupTables,
-) -> tuple[StatRecord, dict]:
+def _build_record(word: Word, depth: str, tables: GroupTable) -> tuple[StatRecord, dict]:
     w = Permutation(word)
     code = lehmer_code(w)
     inv = sum(code)
     prod = code_product(w)
     want_polys = depth != "counts"
 
-    weak = orders.weak_interval(w)
+    weak = orders.weak_interval_by_filter(w)
     br, bruhat_poly = _bulk_bruhat(word, tables, want_polys)
     ao = arrangement.count_acyclic_orientations(arrangement.inversion_graph(w))
     rk = rook.rook_count(w)
@@ -227,7 +178,7 @@ def _build_record(
 
     re_count: int | None = None
     distance_poly: QPolynomial | None = None
-    if run_oracle:
+    if want_polys:
         region_set = arrangement.regions(w)
         distance_poly = arrangement.distance_of_regions(region_set)
         if depth == "with_region_oracle":
@@ -355,11 +306,10 @@ def _fresh_class_counts(depth: str) -> dict[str, int]:
 
 
 def stat_record(w: Permutation, depth: str = "counts") -> StatRecord:
-    """The full record for a single permutation.
+    """The record a sweep of S_n would hold for w, for n <= 8.
 
-    Unlike a sweep, which follows the bulk oracle schedule, a single
-    record computes every field its depth asks for (regions allow
-    n <= 8).
+    ``counts`` fills the statistics and pattern flags, ``polys`` adds the
+    four polynomials, and ``with_region_oracle`` also the region count.
 
     >>> stat_record(Permutation((2, 5, 1, 3, 4))).wk
     7
@@ -368,23 +318,19 @@ def stat_record(w: Permutation, depth: str = "counts") -> StatRecord:
     """
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
-    if w.n > MAX_SWEEP_N:
-        raise ValueError(f"records support n <= {MAX_SWEEP_N}, got n={w.n}")
-    record, _ = _build_record(
-        w.word, depth, run_oracle=depth != "counts", tables=_group_tables(w.n)
-    )
+    record, _ = _build_record(w.word, depth, group_table(w.n))
     return record
 
 
 def _sweep_block(
-    n: int, depth: str, lo: int, hi: int, oracle_ranks: frozenset[int]
+    n: int, depth: str, lo: int, hi: int
 ) -> tuple[list[StatRecord], list[dict], dict[str, int]]:
-    tables = _group_tables(n)
+    tables = group_table(n)
     records: list[StatRecord] = []
     violations: list[dict] = []
     counts = _fresh_class_counts(depth)
     for rank, word in enumerate(itertools.islice(iter_words(n), lo, hi), start=lo):
-        record, flags = _build_record(word, depth, rank in oracle_ranks, tables)
+        record, flags = _build_record(word, depth, tables)
         records.append(record)
         _update_class_counts(counts, record, flags)
         for name, ok, detail in _record_checks(record, flags):
@@ -401,35 +347,35 @@ def _sweep_block(
     return records, violations, counts
 
 
+def _available_cpus() -> int:
+    """CPUs in this process's affinity mask; the core count where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> SweepReport:
     """Verify every statistic relation over all of S_n.
 
     ``parallelism`` splits the lexicographic rank range into contiguous
     blocks handled by forked workers; the merged report is byte-for-byte
-    identical regardless of the setting.  Defaults to the machine's core
-    count.
+    identical regardless of the setting.  Defaults to the number of CPUs
+    this process may run on.
     """
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    cap = MAX_ORACLE_SWEEP_N if depth == "with_region_oracle" else MAX_SWEEP_N
-    if n > cap:
-        raise ValueError(f"sweep at depth {depth!r} supports n <= {cap}, got n={n}")
+    group_table(n)  # enforces n <= 8; built before forking so workers inherit it
 
     total = factorial(n)
     if parallelism is None:
-        parallelism = os.cpu_count() or 1
+        parallelism = _available_cpus()
     parallelism = max(1, min(int(parallelism), total))
-    oracle_ranks = _oracle_ranks(n, depth)
-    _group_tables(n)  # build before forking so workers inherit the table
 
     bounds = [total * b // parallelism for b in range(parallelism + 1)]
-    blocks = [
-        (n, depth, lo, hi, oracle_ranks)
-        for lo, hi in zip(bounds, bounds[1:])
-        if lo < hi
-    ]
+    blocks = [(n, depth, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     if len(blocks) == 1:
         parts = [_sweep_block(*blocks[0])]
     else:

@@ -20,6 +20,14 @@ class TimedSweep:
 
 
 @pytest.fixture(scope="session")
+def small_oracle_sweeps():
+    """Full-depth sweeps of S1..S5; the region oracle runs on every record."""
+    start = time.perf_counter()
+    reports = {n: verify.sweep(n, depth="with_region_oracle") for n in range(1, 6)}
+    return reports, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
 def sweep6_oracle() -> TimedSweep:
     """All of S6 at full depth; every record carries the region oracle."""
     start = time.perf_counter()
@@ -29,7 +37,7 @@ def sweep6_oracle() -> TimedSweep:
 
 @pytest.fixture(scope="session")
 def sweep7_polys() -> TimedSweep:
-    """All of S7 with polynomials; the region oracle runs on a 1000-rank sample."""
+    """All of S7 with polynomials; every record carries its distance enumerator."""
     start = time.perf_counter()
     report = verify.sweep(7, depth="polys")
     return TimedSweep(report, time.perf_counter() - start)

@@ -1,6 +1,7 @@
 """Unit tests for weak order, Bruhat order, and the code-order bridges."""
 
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -19,6 +20,7 @@ from invarr.orders import (
 from invarr.perm import (
     PATTERN_231,
     Permutation,
+    code_product,
     contains_pattern,
     inversion_count,
     iter_words,
@@ -97,6 +99,53 @@ class TestWeakOrder:
     def test_cap(self):
         with pytest.raises(ValueError, match="n <= 12"):
             weak_interval(Permutation.longest(13))
+
+
+def _random_231_avoider(rng: random.Random, values: list[int]) -> list[int]:
+    """A 231-avoiding arrangement of the increasing ``values``.
+
+    Every entry left of the maximum is smaller than every entry right of
+    it, and both sides avoid 231 in turn.
+    """
+    if not values:
+        return []
+    k = rng.randrange(len(values))
+    rest = values[:-1]
+    return (
+        _random_231_avoider(rng, rest[:k])
+        + [values[-1]]
+        + _random_231_avoider(rng, rest[k:])
+    )
+
+
+class TestWeakBeyondTheGroupTable:
+    """Past n = 8 the BFS is the only weak route; check it on seeded draws."""
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_random_permutations(self, n):
+        rng = random.Random(1000 + n)
+        draws = []
+        for _ in range(25):
+            word = list(range(1, n + 1))
+            rng.shuffle(word)
+            draws.append(Permutation(tuple(word)))
+        for _ in range(25):
+            draws.append(Permutation(tuple(_random_231_avoider(rng, list(range(1, n + 1))))))
+        avoiders = 0
+        for w in draws:
+            summary = weak_interval(w)
+            prod = code_product(w)
+            avoids = not contains_pattern(w, PATTERN_231)
+            assert summary.size <= prod, w.word
+            assert (summary.size == prod) == avoids, w.word
+            if avoids:
+                avoiders += 1
+                assert summary.poincare == product_q_formula(w), w.word
+            assert summary.poincare(1) == summary.size
+            assert summary.poincare.degree == inversion_count(w)
+        assert 25 <= avoiders < len(draws)
+        with pytest.raises(ValueError, match="n <= 8"):
+            weak_interval_by_filter(draws[0])
 
 
 class TestBruhatOrder:

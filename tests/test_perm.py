@@ -16,6 +16,7 @@ from invarr.perm import (
     avoids_all,
     code_product,
     contains_pattern,
+    group_table,
     inverse,
     inversion_count,
     inversion_mask,
@@ -280,3 +281,24 @@ class TestEnumeration:
             unrank_lex(3, 6)
         with pytest.raises(ValueError, match="out of range"):
             unrank_lex(3, -1)
+
+
+class TestGroupTable:
+    def test_rows_match_the_per_word_loops(self):
+        for n in range(1, 8):
+            table = group_table(n)
+            words = list(iter_words(n))
+            assert [tuple(row) for row in table.words.tolist()] == words
+            assert table.masks.tolist() == [inversion_mask(word) for word in words]
+            assert table.inv.tolist() == [
+                inversion_mask(word).bit_count() for word in words
+            ]
+            assert table.dom.shape == (factorial(n), n * n)
+
+    def test_cached_read_only_and_capped(self):
+        table = group_table(4)
+        assert group_table(4) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table.masks[0] = 1
+        with pytest.raises(ValueError, match="n <= 8"):
+            group_table(9)

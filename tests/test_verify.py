@@ -206,7 +206,9 @@ class TestSweep:
         assert len(report.records) == 5040
         assert report.violations == ()
         with_distance = [r for r in report.records if r.distance_poly is not None]
-        assert len(with_distance) == verify.ORACLE_SAMPLE_SIZE
+        assert len(with_distance) == 5040
+        assert all(r.distance_poly(1) == r.ao for r in with_distance)
+        assert all(r.distance_poly.degree == r.inv for r in with_distance)
         assert all(r.re is None for r in report.records)
 
     def test_orientation_count_invariant_under_inverse_s7(self, sweep7_polys):
@@ -223,10 +225,30 @@ class TestSweep:
             verify.sweep(0)
         with pytest.raises(ValueError, match="depth must be one of"):
             verify.sweep(3, depth="bogus")
-        with pytest.raises(ValueError, match="n <= 7"):
-            verify.sweep(8, depth="with_region_oracle")
+        with pytest.raises(ValueError, match="n <= 8"):
+            verify.sweep(9, depth="with_region_oracle")
         with pytest.raises(ValueError, match="n <= 8"):
             verify.sweep(9)
+
+
+class TestDefaultParallelism:
+    def test_one_cpu_in_the_affinity_mask_forks_no_pool(self, monkeypatch):
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a sweep on one CPU forked a worker pool")
+
+        monkeypatch.setattr(verify.multiprocessing, "get_context", no_fork)
+        assert verify._available_cpus() == 1
+        report = verify.sweep(4)
+        assert len(report.records) == 24
+        assert report.violations == ()
+
+    def test_core_count_where_affinity_is_unavailable(self, monkeypatch):
+        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        assert verify._available_cpus() == 3
 
 
 class TestDeterminism:
