@@ -348,8 +348,7 @@ def regions(w: Permutation) -> RegionSet:
 
 def distance_of_regions(rs: RegionSet) -> QPolynomial:
     """Generating function of region distances from the base chamber."""
-    signs = np.fromiter(rs.signs, dtype=np.uint64, count=rs.size)
-    return length_polynomial(np.bitwise_count(signs))
+    return length_polynomial([s.bit_count() for s in rs.signs])
 
 
 def distance_enumerator(w: Permutation) -> QPolynomial:

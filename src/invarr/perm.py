@@ -422,7 +422,9 @@ class GroupTable:
 
     def region_signs(self, target_mask: int) -> np.ndarray:
         """The distinct restrictions of the rows' inversion sets to ``target_mask``."""
-        return np.unique(self.masks & np.uint64(target_mask))
+        # sort and drop repeats: np.unique is several times slower here
+        restricted = np.sort(self.masks & np.uint64(target_mask))
+        return restricted[np.concatenate(([True], restricted[1:] != restricted[:-1]))]
 
 
 @lru_cache(maxsize=MAX_TABLE_N)
@@ -437,15 +439,12 @@ def group_table(n: int) -> GroupTable:
         raise ValueError(f"whole-group tables support n <= {MAX_TABLE_N}, got n={n}")
     words = np.array(list(iter_words(n)), dtype=np.int8)
     masks = np.zeros(len(words), dtype=np.uint64)
+    inv = np.zeros(len(words), dtype=np.uint8)
     for slot, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        masks |= (words[:, i] > words[:, j]).astype(np.uint64) << np.uint64(slot)
-    table = GroupTable(
-        n=n,
-        words=words,
-        masks=masks,
-        inv=np.bitwise_count(masks),
-        dom=_dominance_counts(words),
-    )
+        inverted = words[:, i] > words[:, j]
+        masks |= inverted.astype(np.uint64) << np.uint64(slot)
+        inv += inverted
+    table = GroupTable(n, words, masks, inv, _dominance_counts(words))
     for array in (table.words, table.masks, table.inv, table.dom):
         array.setflags(write=False)  # every caller shares the cached arrays
     return table

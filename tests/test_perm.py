@@ -3,8 +3,10 @@
 import itertools
 from math import factorial
 
+import numpy as np
 import pytest
 
+from invarr.arrangement import distance_enumerator
 from invarr.perm import (
     PATTERN_231,
     PATTERN_312,
@@ -302,3 +304,12 @@ class TestGroupTable:
             table.masks[0] = 1
         with pytest.raises(ValueError, match="n <= 8"):
             group_table(9)
+
+    def test_needs_no_numpy2_popcount(self, monkeypatch):
+        # pyproject allows numpy>=1.24, which has no np.bitwise_count
+        cached = group_table(6)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        fresh = group_table.__wrapped__(6)
+        for name in ("words", "masks", "inv", "dom"):
+            assert np.array_equal(getattr(fresh, name), getattr(cached, name))
+        assert distance_enumerator(Permutation.longest(5))(1) == 120
