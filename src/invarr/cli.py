@@ -16,6 +16,7 @@ permutations, sizes over the supported caps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -132,7 +133,9 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="invarr",
         description=(

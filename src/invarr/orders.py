@@ -7,10 +7,12 @@ transpositions and keying visited states by inversion mask, so each state
 is O(n) work; this route serves every n <= 12.  For n <= 8 the same
 interval is also a filter of the whole-group table (``perm.group_table``)
 by mask containment, the fast route of the sweeps, which the BFS checks.
-Bruhat intervals filter the same table with the sorted-prefix dominance
-criterion; a slow chain-closure oracle implements the definition
-directly (downward transposition steps, each strictly dropping the
-inversion count) for cross-validation.
+Bruhat intervals filter the same table by its dominance counts, read
+only on the columns of Fulton's essential set of w0 w
+(``GroupTable.bruhat_below``); ``bruhat_leq`` compares one pair by
+sorted prefixes, and a slow chain-closure oracle implements the
+definition directly (downward transposition steps, each strictly
+dropping the inversion count) for cross-validation.
 
 >>> w = Permutation((2, 5, 1, 3, 4))
 >>> weak_interval(w).size
@@ -200,7 +202,7 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
 
 
 def bruhat_interval(w: Permutation, with_elements: bool = False) -> IntervalSummary:
-    """The interval [id, w] in Bruhat order, by filtering S_n with dominance.
+    """The interval [id, w] in Bruhat order, by the table's essential-set filter.
 
     >>> summary = bruhat_interval(Permutation((3, 1, 2)), with_elements=True)
     >>> summary.size

@@ -389,36 +389,72 @@ def length_polynomial(lengths) -> QPolynomial:
     return QPolynomial(tuple(np.bincount(lengths).tolist()))
 
 
-def _dominance_counts(words: np.ndarray) -> np.ndarray:
-    """Per row, the flattened counts R[i][j] = #{a <= i : w_a >= j + 1}."""
-    n = words.shape[1]
-    ge = words[:, :, None] >= np.arange(1, n + 1, dtype=np.int8)
-    return np.cumsum(ge, axis=1, dtype=np.uint8).reshape(len(words), n * n)
+def _essential_conditions(word: Word) -> list[tuple[int, int]]:
+    """The (dom column, bound) pairs that decide u <= ``word`` in Bruhat order.
+
+    With v = w0 w (v_i = n + 1 - w_i), the dominance count of u in column
+    (i - 1) n + (n - j) is r_{w0 u}(i, j) = #{a <= i : (w0 u)_a <= j}, and
+    u <= w exactly when r_{w0 u} <= r_v at every cell.  By Fulton (Flags,
+    Schubert polynomials, degeneracy loci, and determinantal formulas,
+    Duke Math. J. 65, 1992) the cells of the essential set of v imply all
+    the others: the cells (i, j) of the Rothe diagram
+    D(v) = {(i, j) : v_i > j, v^-1(j) > i} with neither (i + 1, j) nor
+    (i, j + 1) in D(v).  The set is empty only for w = w0, which imposes
+    no condition.
+
+    >>> _essential_conditions((2, 1, 3))
+    [(5, 0)]
+    >>> _essential_conditions((3, 2, 1))
+    []
+    """
+    n = len(word)
+    v = [n + 1 - x for x in word]
+    position = [0] * (n + 1)  # position[j] = v^-1(j), 1-based
+    for a, x in enumerate(v, start=1):
+        position[x] = a
+
+    def in_diagram(i: int, j: int) -> bool:
+        return i <= n and j <= n and v[i - 1] > j and position[j] > i
+
+    conditions = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if not in_diagram(i, j):
+                continue
+            if not in_diagram(i + 1, j) and not in_diagram(i, j + 1):
+                bound = sum(1 for x in v[:i] if x <= j)
+                conditions.append(((i - 1) * n + n - j, bound))
+    return conditions
 
 
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """Every word of S_n, row k holding the word of lexicographic rank k.
 
-    ``masks`` use the slots of ``pair_slot``; ``dom`` holds the Bruhat
-    dominance counts, with u <= w exactly when ``dom[u] <= dom[w]``
-    entrywise.
+    ``masks`` use the slots of ``pair_slot``.  ``dom`` holds the Bruhat
+    dominance counts: 0-based column i * n + j counts the a <= i + 1 with
+    u_a > j, and u <= w exactly when dom[u] <= dom[w] entrywise.  It is
+    stored column-major, each column one contiguous run, because
+    ``bruhat_below`` reads only the few columns of Fulton's essential set
+    of w0 w (see ``_essential_conditions``).
     """
 
     n: int
     words: np.ndarray  # (n!, n) int8
     masks: np.ndarray  # (n!,) uint64 inversion masks
     inv: np.ndarray  # (n!,) uint8 inversion counts
-    dom: np.ndarray  # (n!, n * n) uint8 dominance counts
+    dom: np.ndarray  # (n!, n * n) uint8 dominance counts, Fortran order
 
     def weak_below(self, target_mask: int) -> np.ndarray:
         """Rows u with I(u) inside ``target_mask``: u <= w in left weak order."""
         return (self.masks & ~np.uint64(target_mask)) == 0
 
     def bruhat_below(self, word: Word) -> np.ndarray:
-        """Rows u <= ``word`` in Bruhat order."""
-        target = _dominance_counts(np.array([word], dtype=np.int8))[0]
-        return (self.dom <= target).all(axis=1)
+        """Rows u <= ``word`` in Bruhat order, by the essential-set columns."""
+        below = np.ones(len(self.dom), dtype=bool)
+        for column, bound in _essential_conditions(word):
+            below &= self.dom[:, column] <= bound
+        return below
 
     def region_signs(self, target_mask: int) -> np.ndarray:
         """The distinct restrictions of the rows' inversion sets to ``target_mask``."""
@@ -444,7 +480,13 @@ def group_table(n: int) -> GroupTable:
         inverted = words[:, i] > words[:, j]
         masks |= inverted.astype(np.uint64) << np.uint64(slot)
         inv += inverted
-    table = GroupTable(n, words, masks, inv, _dominance_counts(words))
+    dom = np.empty((len(words), n * n), dtype=np.uint8, order="F")
+    for j in range(n):
+        running = np.zeros(len(words), dtype=np.uint8)
+        for i in range(n):
+            running += words[:, i] > j
+            dom[:, i * n + j] = running
+    table = GroupTable(n, words, masks, inv, dom)
     for array in (table.words, table.masks, table.inv, table.dom):
         array.setflags(write=False)  # every caller shares the cached arrays
     return table

@@ -19,9 +19,10 @@ class counts summarize the sweep.
 Every whole-group quantity reads one cached table per n
 (``perm.group_table``): weak intervals select the rows whose inversion
 mask lies inside I(w), Bruhat intervals the rows whose dominance counts
-R_u[i][j] = #{a <= i : w_a >= j} lie entrywise below R_w, and regions
-are the distinct restrictions of the masks to I(w).  The table is built
-once per n, before any worker forks.
+R_u[i][j] = #{a <= i : u_a >= j} lie below R_w, compared only on the
+cells of Fulton's essential set of w0 w (Duke Math. J. 65, 1992), and
+regions are the distinct restrictions of the masks to I(w).  The table
+is built once per n, before any worker forks.
 
 At depths ``polys`` and ``with_region_oracle`` every record gets its
 regions and their distance enumerator; only ``with_region_oracle`` also
@@ -67,6 +68,13 @@ from .perm import (
 from .qpoly import QPolynomial
 
 DEPTHS = ("counts", "polys", "with_region_oracle")
+
+# 4231 is in both pattern bundles; each record tests it once.
+_PATTERN_4231 = Permutation((4, 2, 3, 1))
+_FOUR_WITHOUT_4231 = tuple(
+    p for p in REGION_BRUHAT_EQUALITY_PATTERNS if p != _PATTERN_4231
+)
+_POINCARE_WITHOUT_4231 = tuple(p for p in POINCARE_MATCH_PATTERNS if p != _PATTERN_4231)
 
 CLASS_KEYS = (
     "re_eq_wk",
@@ -172,8 +180,9 @@ def _build_record(word: Word, depth: str, tables: GroupTable) -> tuple[StatRecor
 
     avoids_231 = not contains_pattern(w, PATTERN_231)
     avoids_312 = not contains_pattern(w, PATTERN_312)
-    avoids_four = avoids_all(w, REGION_BRUHAT_EQUALITY_PATTERNS)
-    avoids_3412_4231 = avoids_all(w, POINCARE_MATCH_PATTERNS)
+    avoids_4231 = not contains_pattern(w, _PATTERN_4231)
+    avoids_four = avoids_4231 and avoids_all(w, _FOUR_WITHOUT_4231)
+    avoids_3412_4231 = avoids_4231 and avoids_all(w, _POINCARE_WITHOUT_4231)
     ferrers = rook.is_right_justified_ferrers(rook.southwest_diagram(w))
 
     re_count: int | None = None

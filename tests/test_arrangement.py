@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from invarr import arrangement
 from invarr.arrangement import (
     InversionGraph,
     chromatic_polynomial,
@@ -88,6 +89,18 @@ class TestChromatic:
     def test_cap(self):
         with pytest.raises(ValueError, match="n <= 12"):
             chromatic_polynomial(_graph(13))
+
+    def test_memo_stays_under_its_cap_and_clearing_changes_nothing(self, monkeypatch):
+        graphs = [inversion_graph(Permutation(w)) for w in iter_words(6)]
+        monkeypatch.setattr(arrangement, "_CHROMATIC_MEMO", {})
+        unbounded = [chromatic_polynomial(g) for g in graphs]
+        assert len(arrangement._CHROMATIC_MEMO) > 8
+
+        monkeypatch.setattr(arrangement, "MAX_CHROMATIC_MEMO", 8)
+        monkeypatch.setattr(arrangement, "_CHROMATIC_MEMO", {})
+        for g, expected in zip(graphs, unbounded):
+            assert chromatic_polynomial(g) == expected
+            assert len(arrangement._CHROMATIC_MEMO) <= 8
 
 
 def _all_colorings(n, k):

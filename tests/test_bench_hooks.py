@@ -29,6 +29,11 @@ def test_wrapped_names_run_and_are_restored():
         record = verify.stat_record(
             Permutation((3, 1, 4, 8, 5, 2, 7, 6)), "with_region_oracle"
         )
+        # the Bruhat span still counts a whole-group scan: n! rows per call
+        bruhat_calls = tracer.summary(1.0)["spans"]["verify.bruhat_table"]["calls"]
+        assert bruhat_calls == 1
+        assert tracer.counters["bruhat_rows"] == factorial(8) * bruhat_calls
+        assert tracer.counters["bruhat_hits"] == record.br
         report = verify.sweep(3, "polys", parallelism=1)
     finally:
         restored = tracer.restore()

@@ -63,6 +63,20 @@ class TestStats:
         assert "invalid" in err
 
 
+class TestParserReuse:
+    def test_back_to_back_runs_see_their_own_defaults(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        code, out, _ = run_cli(
+            capsys, "stats", "25134", "--depth", "counts", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["re"] is None
+        code, out, _ = run_cli(capsys, "stats", "25134")
+        assert code == 0
+        assert "wk=7 prod=8 rk=16 ao=16 br=16 re=16" in out.splitlines()
+        assert "weak_poly=1 + q + 2q^2 + 2q^3 + q^4" in out.splitlines()
+
+
 class TestInterval:
     def test_weak_summary(self, capsys):
         code, out, _ = run_cli(capsys, "interval", "25134")

@@ -1,6 +1,7 @@
 """Unit tests for permutations, inversion sets, codes, and patterns."""
 
 import itertools
+import random
 from math import factorial
 
 import numpy as np
@@ -296,6 +297,18 @@ class TestGroupTable:
                 inversion_mask(word).bit_count() for word in words
             ]
             assert table.dom.shape == (factorial(n), n * n)
+            assert table.dom.flags.f_contiguous and not table.dom.flags.writeable
+
+    def test_bruhat_below_matches_the_full_dominance_compare(self):
+        rng = random.Random(8)
+        cases = [(n, range(factorial(n))) for n in range(1, 8)]
+        cases.append((8, [0, factorial(8) - 1] + rng.sample(range(factorial(8)), 400)))
+        for n, ranks in cases:
+            table = group_table(n)
+            for k in ranks:  # rank 0 is the identity, rank n! - 1 is w0
+                full = (table.dom <= table.dom[k]).all(axis=1)
+                below = table.bruhat_below(tuple(table.words[k].tolist()))
+                assert np.array_equal(below, full), (n, k)
 
     def test_cached_read_only_and_capped(self):
         table = group_table(4)

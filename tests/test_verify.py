@@ -6,8 +6,15 @@ from math import factorial
 
 import pytest
 
-from invarr import verify
-from invarr.perm import Permutation, avoids_all, inverse
+from invarr import perm, verify
+from invarr.perm import (
+    POINCARE_MATCH_PATTERNS,
+    REGION_BRUHAT_EQUALITY_PATTERNS,
+    Permutation,
+    avoids_all,
+    inverse,
+    iter_words,
+)
 from invarr.qpoly import QPolynomial
 
 RECORD_KEYS = [
@@ -100,6 +107,24 @@ class TestStatRecord:
             assert record.wk == record.br == record.prod == factorial(n)
             assert record.ao == record.rk == factorial(n)
             assert record.code == tuple(range(n - 1, -1, -1))
+
+    def test_4231_is_tested_once_per_record(self, monkeypatch):
+        original = perm.contains_pattern
+        calls = []
+
+        def counting(w, pattern):
+            calls.append(pattern.word)
+            return original(w, pattern)
+
+        monkeypatch.setattr(verify, "contains_pattern", counting)
+        monkeypatch.setattr(perm, "contains_pattern", counting)
+        for word in iter_words(6):
+            calls.clear()
+            w = Permutation(word)
+            record = verify.stat_record(w)
+            assert calls.count((4, 2, 3, 1)) == 1, word
+            assert record.avoids_four == avoids_all(w, REGION_BRUHAT_EQUALITY_PATTERNS)
+            assert record.avoids_3412_4231 == avoids_all(w, POINCARE_MATCH_PATTERNS)
 
 
 class TestRecordChecks:
