@@ -10,13 +10,15 @@ hyperplanes {x_i = x_j : (i, j) inverted}.
 
 Regions are enumerated combinatorially: a region is determined by its
 sign vector over the inverted pairs, and the achievable sign vectors are
-exactly the restrictions of inversion sets of arbitrary permutations to
-I(w), read off the inversion masks of the whole-group table
-(``perm.group_table``, n <= 8).  The base region is the identity chamber
-x_1 < x_2 < ... < x_n (the all-zero sign vector); a region's distance is
-the number of hyperplanes separating it from the base, so the distance
-enumerator of the full braid arrangement (w longest) matches the
-weak-order Poincare polynomial of the whole group.
+exactly the restrictions I(u) & I(w) over all permutations u.  They are
+kept as the distinct uint32 inversion masks left by one sort of the
+whole-group table (``perm.group_table``, n <= 8); only
+``RegionSet.signs`` compacts them onto the inverted pairs.  The base
+region is the identity chamber x_1 < x_2 < ... < x_n (mask 0); a
+region's distance is the number of hyperplanes separating it from the
+base, the popcount of its mask, so the distance enumerator of the full
+braid arrangement (w longest) matches the weak-order Poincare
+polynomial of the whole group.
 
 >>> w = Permutation((2, 5, 1, 3, 4))
 >>> g = inversion_graph(w)
@@ -37,11 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .perm import (
+    InversionSet,
     Permutation,
     group_table,
     inversion_mask,
     inversion_set,
     length_polynomial,
+    popcounts,
 )
 from .qpoly import QPolynomial, checked_int64
 
@@ -306,27 +310,42 @@ def count_acyclic_orientations_by_enumeration(g: InversionGraph) -> int:
 # regions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionSet:
     """Regions of the arrangement {x_i = x_j : (i, j) in I(w)}.
 
-    Each region is the sign vector of its points over the inverted pairs
-    in lexicographic pair order: bit t is 1 when x_i > x_j on the region
-    for the t-th inverted pair (i, j).  The base region (identity
-    chamber) is all zeros, and a region's distance from the base is its
-    popcount.
+    ``masks`` holds one uint32 mask per region, sorted: the distinct
+    restrictions I(u) & I(w) over u in S_n, in the slots of
+    ``pair_slot``.  A region's distance from the base region (identity
+    chamber, mask 0) is its number of separating hyperplanes, the
+    popcount of its mask.  ``signs`` compacts the masks onto the
+    inverted pairs in lexicographic pair order: bit t is 1 when
+    x_i > x_j on the region for the t-th inverted pair (i, j).
     """
 
     n: int
-    hyperplanes: tuple[tuple[int, int], ...]
-    signs: frozenset[int]
+    target: int  # the mask of I(w)
+    masks: np.ndarray  # (regions,) uint32, sorted
 
     @property
     def size(self) -> int:
-        return len(self.signs)
+        return len(self.masks)
+
+    @property
+    def hyperplanes(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(InversionSet(self.n, self.target).pairs()))
+
+    @property
+    def signs(self) -> frozenset[int]:
+        # compact the sign bits onto the inverted pairs, one slot at a time
+        signs = np.zeros_like(self.masks)
+        slots = [slot for slot in range(self.target.bit_length()) if self.target >> slot & 1]
+        for t, slot in enumerate(slots):
+            signs |= (self.masks >> np.uint32(slot) & np.uint32(1)) << np.uint32(t)
+        return frozenset(signs.tolist())
 
     def distances(self) -> tuple[int, ...]:
-        return tuple(sorted(s.bit_count() for s in self.signs))
+        return tuple(np.sort(popcounts(self.masks)).tolist())
 
 
 def regions(w: Permutation) -> RegionSet:
@@ -343,19 +362,12 @@ def regions(w: Permutation) -> RegionSet:
     6
     """
     target = inversion_mask(w.word)
-    restricted = group_table(w.n).region_signs(target)
-    # compact the sign bits onto the inverted pairs, one slot at a time
-    signs = np.zeros_like(restricted)
-    slots = [slot for slot in range(target.bit_length()) if target >> slot & 1]
-    for t, slot in enumerate(slots):
-        signs |= (restricted >> np.uint64(slot) & np.uint64(1)) << np.uint64(t)
-    hyperplanes = tuple(sorted(inversion_set(w).pairs()))
-    return RegionSet(n=w.n, hyperplanes=hyperplanes, signs=frozenset(signs.tolist()))
+    return RegionSet(w.n, target, group_table(w.n).region_signs(target))
 
 
 def distance_of_regions(rs: RegionSet) -> QPolynomial:
     """Generating function of region distances from the base chamber."""
-    return length_polynomial([s.bit_count() for s in rs.signs])
+    return length_polynomial(popcounts(rs.masks))
 
 
 def distance_enumerator(w: Permutation) -> QPolynomial:

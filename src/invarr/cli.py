@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallelism",
         type=int,
         default=None,
-        help="worker count (default: the CPUs this process may run on)",
+        help="worker count (default: the CPUs this process may run on; one for n <= 5)",
     )
     p_sweep.add_argument(
         "--long", action="store_true", help="confirm a multi-minute n >= 8 sweep"

@@ -265,10 +265,16 @@ def product_q_formula(w: Permutation) -> QPolynomial:
     >>> print(product_q_formula(Permutation((2, 5, 1, 3, 4))))
     1 + 2q + 2q^2 + 2q^3 + q^4
     """
-    out = QPolynomial.one()
+    # Convolve on plain ints and validate once: multiplying by [c + 1]
+    # never lowers a coefficient, so no partial product exceeds the result.
+    coeffs = [1]
     for c in lehmer_code(w):
-        out = out * QPolynomial.q_integer(c + 1)
-    return out
+        out = [0] * (len(coeffs) + c)
+        for i, a in enumerate(coeffs):
+            for d in range(i, i + c + 1):
+                out[d] += a
+        coeffs = out
+    return QPolynomial(tuple(coeffs))
 
 
 def code_monotone_check(u: Permutation, w: Permutation) -> bool:

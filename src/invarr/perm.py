@@ -40,6 +40,8 @@ Word = tuple[int, ...]
 
 # Largest n of the whole-group table: 8! rows, C(8, 2) = 28 mask bits.
 MAX_TABLE_N = 8
+# Bit counts of the byte values: np.bitwise_count is NumPy 2 only.
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 # code_product of the longest element is n!; 20! < 2^63 <= 21!.
 MAX_CODE_PRODUCT_N = 20
 
@@ -389,6 +391,15 @@ def length_polynomial(lengths) -> QPolynomial:
     return QPolynomial(tuple(np.bincount(lengths).tolist()))
 
 
+def popcounts(masks: np.ndarray) -> np.ndarray:
+    """Bit counts of uint32 ``masks`` as uint8, by four byte-table lookups.
+
+    >>> popcounts(np.array([0, 7, 2**28 - 1], dtype=np.uint32)).tolist()
+    [0, 3, 28]
+    """
+    return sum(_BYTE_POPCOUNT[masks >> shift & 0xFF] for shift in (0, 8, 16, 24))
+
+
 def _essential_conditions(word: Word) -> list[tuple[int, int]]:
     """The (dom column, bound) pairs that decide u <= ``word`` in Bruhat order.
 
@@ -431,23 +442,24 @@ def _essential_conditions(word: Word) -> list[tuple[int, int]]:
 class GroupTable:
     """Every word of S_n, row k holding the word of lexicographic rank k.
 
-    ``masks`` use the slots of ``pair_slot``.  ``dom`` holds the Bruhat
-    dominance counts: 0-based column i * n + j counts the a <= i + 1 with
-    u_a > j, and u <= w exactly when dom[u] <= dom[w] entrywise.  It is
-    stored column-major, each column one contiguous run, because
-    ``bruhat_below`` reads only the few columns of Fulton's essential set
-    of w0 w (see ``_essential_conditions``).
+    ``masks`` are uint32 over the slots of ``pair_slot`` (C(8, 2) = 28
+    bits at most), and ``popcounts`` gives their bit counts.  ``dom``
+    holds the Bruhat dominance counts: 0-based column i * n + j counts
+    the a <= i + 1 with u_a > j, and u <= w exactly when dom[u] <= dom[w]
+    entrywise.  It is stored column-major, each column one contiguous
+    run, because ``bruhat_below`` reads only the few columns of Fulton's
+    essential set of w0 w (see ``_essential_conditions``).
     """
 
     n: int
     words: np.ndarray  # (n!, n) int8
-    masks: np.ndarray  # (n!,) uint64 inversion masks
+    masks: np.ndarray  # (n!,) uint32 inversion masks
     inv: np.ndarray  # (n!,) uint8 inversion counts
     dom: np.ndarray  # (n!, n * n) uint8 dominance counts, Fortran order
 
     def weak_below(self, target_mask: int) -> np.ndarray:
         """Rows u with I(u) inside ``target_mask``: u <= w in left weak order."""
-        return (self.masks & ~np.uint64(target_mask)) == 0
+        return (self.masks & ~np.uint32(target_mask)) == 0
 
     def bruhat_below(self, word: Word) -> np.ndarray:
         """Rows u <= ``word`` in Bruhat order, by the essential-set columns."""
@@ -457,9 +469,9 @@ class GroupTable:
         return below
 
     def region_signs(self, target_mask: int) -> np.ndarray:
-        """The distinct restrictions of the rows' inversion sets to ``target_mask``."""
+        """The distinct restrictions of the rows' inversion sets to ``target_mask``, sorted."""
         # sort and drop repeats: np.unique is several times slower here
-        restricted = np.sort(self.masks & np.uint64(target_mask))
+        restricted = np.sort(self.masks & np.uint32(target_mask))
         return restricted[np.concatenate(([True], restricted[1:] != restricted[:-1]))]
 
 
@@ -473,13 +485,13 @@ def group_table(n: int) -> GroupTable:
     """
     if not 1 <= n <= MAX_TABLE_N:
         raise ValueError(f"whole-group tables support n <= {MAX_TABLE_N}, got n={n}")
+    if n * (n - 1) // 2 > 32:
+        raise ValueError(f"uint32 inversion masks hold C(n, 2) <= 32 pair slots, got n={n}")
     words = np.array(list(iter_words(n)), dtype=np.int8)
-    masks = np.zeros(len(words), dtype=np.uint64)
-    inv = np.zeros(len(words), dtype=np.uint8)
+    masks = np.zeros(len(words), dtype=np.uint32)
     for slot, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        inverted = words[:, i] > words[:, j]
-        masks |= inverted.astype(np.uint64) << np.uint64(slot)
-        inv += inverted
+        masks |= (words[:, i] > words[:, j]).astype(np.uint32) << np.uint32(slot)
+    inv = popcounts(masks)
     dom = np.empty((len(words), n * n), dtype=np.uint8, order="F")
     for j in range(n):
         running = np.zeros(len(words), dtype=np.uint8)

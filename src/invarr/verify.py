@@ -68,6 +68,9 @@ from .perm import (
 from .qpoly import QPolynomial
 
 DEPTHS = ("counts", "polys", "with_region_oracle")
+# Default sweeps of S_n up to here (at most 120 records) run in process:
+# forking and joining a pool costs more than the records do.
+MAX_IN_PROCESS_N = 5
 
 # 4231 is in both pattern bundles; each record tests it once.
 _PATTERN_4231 = Permutation((4, 2, 3, 1))
@@ -370,7 +373,7 @@ def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> Swee
     ``parallelism`` splits the lexicographic rank range into contiguous
     blocks handled by forked workers; the merged report is byte-for-byte
     identical regardless of the setting.  Defaults to the number of CPUs
-    this process may run on.
+    this process may run on, or to one process for n <= 5.
     """
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
@@ -380,7 +383,7 @@ def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> Swee
 
     total = factorial(n)
     if parallelism is None:
-        parallelism = _available_cpus()
+        parallelism = 1 if n <= MAX_IN_PROCESS_N else _available_cpus()
     parallelism = max(1, min(int(parallelism), total))
 
     bounds = [total * b // parallelism for b in range(parallelism + 1)]

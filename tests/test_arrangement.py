@@ -24,6 +24,8 @@ from invarr.perm import (
     inverse,
     inversion_count,
     iter_words,
+    length_polynomial,
+    unrank_lex,
 )
 from invarr.qpoly import QPolynomial
 
@@ -180,6 +182,22 @@ class TestRegions:
     def test_cap(self):
         with pytest.raises(ValueError, match="n <= 8"):
             regions(Permutation.longest(9))
+
+    def test_masks_agree_with_the_compacted_signs(self):
+        # size and distances read the uncompacted masks; the compacted
+        # sign vectors are the definition they must agree with
+        rng = random.Random(5)
+        words = [w for n in range(1, 8) for w in iter_words(n)]
+        words += [unrank_lex(8, r).word for r in (0, factorial(8) - 1)]
+        words += [unrank_lex(8, r).word for r in rng.sample(range(factorial(8)), 400)]
+        for word in words:
+            rs = regions(Permutation(word))
+            signs = rs.signs
+            lengths = sorted(s.bit_count() for s in signs)
+            assert rs.size == len(signs), word
+            assert rs.distances() == tuple(lengths), word
+            assert distance_of_regions(rs) == length_polynomial(lengths), word
+            assert 0 in signs and (1 << len(rs.hyperplanes)) - 1 in signs, word
 
 
 class TestDistanceEnumerator:

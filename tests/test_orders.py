@@ -204,6 +204,20 @@ class TestCodeOrder:
         assert product_q_formula(Permutation((3, 1, 2))) == QPolynomial((1, 1, 1))
         assert product_q_formula(W25134)(1) == 8
 
+    def test_product_formula_equals_the_q_integer_product(self):
+        # one validation at the end catches every overflow the partial
+        # products could: multiplying by [c + 1] never lowers a coefficient
+        for n in range(1, 7):
+            for word in iter_words(n):
+                w = Permutation(word)
+                expected = QPolynomial.one()
+                for c in lehmer_code(w):
+                    expected = expected * QPolynomial.q_integer(c + 1)
+                assert product_q_formula(w) == expected, word
+        assert product_q_formula(Permutation.longest(20))(1) == factorial(20)
+        with pytest.raises(OverflowError):
+            product_q_formula(Permutation.longest(25))
+
     def test_code_monotone_examples(self):
         assert code_monotone_check(Permutation.identity(5), W25134)
         # code dominance holds here although weak order does not

@@ -7,6 +7,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from invarr import perm
 from invarr.arrangement import distance_enumerator
 from invarr.perm import (
     PATTERN_231,
@@ -29,6 +30,7 @@ from invarr.perm import (
     lehmer_code,
     parse_permutation,
     pair_slot,
+    popcounts,
     reverse_complement,
     unrank_lex,
 )
@@ -313,10 +315,17 @@ class TestGroupTable:
     def test_cached_read_only_and_capped(self):
         table = group_table(4)
         assert group_table(4) is table
+        assert table.masks.dtype == np.uint32
         with pytest.raises(ValueError, match="read-only"):
             table.masks[0] = 1
         with pytest.raises(ValueError, match="n <= 8"):
             group_table(9)
+
+    def test_uint32_masks_refuse_more_than_32_pairs(self, monkeypatch):
+        # C(9, 2) = 36 slots would wrap; a raised cap must fail before building
+        monkeypatch.setattr(perm, "MAX_TABLE_N", 9)
+        with pytest.raises(ValueError, match="32 pair slots"):
+            group_table.__wrapped__(9)
 
     def test_needs_no_numpy2_popcount(self, monkeypatch):
         # pyproject allows numpy>=1.24, which has no np.bitwise_count
@@ -326,3 +335,5 @@ class TestGroupTable:
         for name in ("words", "masks", "inv", "dom"):
             assert np.array_equal(getattr(fresh, name), getattr(cached, name))
         assert distance_enumerator(Permutation.longest(5))(1) == 120
+        masks = group_table(8).masks
+        assert popcounts(masks).tolist() == [m.bit_count() for m in masks.tolist()]

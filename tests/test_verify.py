@@ -266,9 +266,23 @@ class TestDefaultParallelism:
 
         monkeypatch.setattr(verify.multiprocessing, "get_context", no_fork)
         assert verify._available_cpus() == 1
+        report = verify.sweep(6)  # above MAX_IN_PROCESS_N, so the affinity decides
+        assert len(report.records) == 720
+        assert report.violations == ()
+
+    def test_small_n_runs_in_process(self, monkeypatch):
+        four_cpus = lambda pid: {0, 1, 2, 3}  # noqa: E731
+        monkeypatch.setattr(verify.os, "sched_getaffinity", four_cpus, raising=False)
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a default sweep of S_4 forked a worker pool")
+
+        monkeypatch.setattr(verify.multiprocessing, "get_context", no_fork)
         report = verify.sweep(4)
         assert len(report.records) == 24
         assert report.violations == ()
+        with pytest.raises(AssertionError, match="forked"):
+            verify.sweep(4, parallelism=2)  # an explicit count still forks
 
     def test_core_count_where_affinity_is_unavailable(self, monkeypatch):
         monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
