@@ -150,9 +150,11 @@ def _canonical_key(v: int, edges: frozenset[tuple[int, int]]) -> tuple:
 
 
 # Chromatic polynomials of connected graphs by canonical key, cleared when
-# it passes MAX_CHROMATIC_MEMO entries.  A full sweep of S_8 in one process
-# leaves 11498 entries (about 15 MiB), and every graph of a smaller n is a
-# component of one of S_8, so no sweep at n <= 8 reaches the cap.
+# it passes MAX_CHROMATIC_MEMO entries.  Sweeps read ao from the group
+# columns and never fill it; stat_record and the oracle checks do.
+# Deletion-contraction over all of S_8 in one process leaves 11498
+# entries (about 15 MiB), and every graph of a smaller n is a component
+# of one of S_8, so no loop over whole groups at n <= 8 reaches the cap.
 MAX_CHROMATIC_MEMO = 1 << 14
 _CHROMATIC_MEMO: dict[tuple, tuple[int, ...]] = {}
 

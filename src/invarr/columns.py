@@ -1,0 +1,225 @@
+"""Whole-group statistic columns: one numpy column per statistic over S_n.
+
+For n <= 8, ``group_columns(n)`` holds, row k for the word of
+lexicographic rank k (the rows of ``perm.group_table``), the Lehmer
+codes and code products, the weak interval sizes wk, the acyclic
+orientation counts ao, the rook counts rk, the containment flags of the
+seven patterns of the paper's characterizations and the Ferrers flag of
+the south-west diagram.  A sweep reads its records' statistics from
+these columns; ``verify.stat_record`` keeps the per-record routes (the
+weak filter, deletion-contraction, backtracking), and they are the
+columns' oracles.  Each column comes from a recursion over the whole
+group that shares no arithmetic with those routes, so the checked
+relations rk = ao and wk <= prod keep their meaning:
+
+* wk by the Moebius recursion of left weak order (Bjoerner and Brenti,
+  *Combinatorics of Coxeter Groups*, GTM 231, 2005, section 3.2).
+  [e, w] minus {w} is the union of [e, sw] over the left descents s of
+  w, and the intersection of [e, sw] over s in J is [e, w0(J) w], so
+  wk(w) = 1 + sum over nonempty J in D_L(w) of (-1)^(|J|+1) wk(w0(J) w),
+  filled in by length.
+* ao by inclusion-exclusion over source sets (Stanley, *Acyclic
+  orientations of graphs*, Discrete Math. 5, 1973).  Every acyclic
+  orientation has a nonempty independent set of sources, an independent
+  set of the inversion graph is an increasing subsequence, and deleting
+  it leaves the inversion graph of the standardized rest, so
+  ao(w) = sum over nonempty increasing S of (-1)^(|S|+1) ao(std(w - S)),
+  read from the columns of S_{<n}.
+* rk by one batched Ryser permanent (``rook.permanents``) of the
+  complements of the south-west diagrams.
+* containment of a pattern by one-letter deletion: for n > |p|, w
+  contains p exactly when some standardized deletion of one letter of w
+  does, read from the column of S_{n-1}.
+
+>>> columns = group_columns(3)
+>>> columns.wk.tolist(), columns.ao.tolist(), columns.rk.tolist()
+([1, 2, 2, 3, 3, 6], [1, 2, 2, 4, 4, 6], [1, 2, 2, 4, 4, 6])
+>>> str(PATTERNS[0]), columns.avoids(PATTERNS[:1]).tolist()
+('231', [True, True, True, False, True, True])
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
+
+import numpy as np
+
+from .perm import (
+    MAX_TABLE_N,
+    POINCARE_MATCH_PATTERNS,
+    REGION_BRUHAT_EQUALITY_PATTERNS,
+    WEAK_EQUALITY_PATTERNS,
+    Permutation,
+    group_table,
+    popcounts,
+)
+from .rook import permanents
+
+# The distinct patterns of the characterizations, one containment row each.
+PATTERNS: tuple[Permutation, ...] = tuple(
+    dict.fromkeys(
+        WEAK_EQUALITY_PATTERNS + REGION_BRUHAT_EQUALITY_PATTERNS + POINCARE_MATCH_PATTERNS
+    )
+)
+
+
+@dataclass(frozen=True, eq=False)
+class GroupColumns:
+    """The statistics of every word of S_n, row k for lexicographic rank k."""
+
+    n: int
+    code: np.ndarray  # (n!, n) uint8 Lehmer codes
+    prod: np.ndarray  # (n!,) int32 code products
+    wk: np.ndarray  # (n!,) int32 weak interval sizes
+    ao: np.ndarray  # (n!,) int32 acyclic orientations of the inversion graph
+    rk: np.ndarray  # (n!,) int32 rook placements
+    contains: np.ndarray  # (len(PATTERNS), n!) bool, row t for PATTERNS[t]
+    ferrers: np.ndarray  # (n!,) bool: right-justified Ferrers diagram
+
+    def avoids(self, patterns: tuple[Permutation, ...]) -> np.ndarray:
+        """Rows containing none of ``patterns`` (each one of ``PATTERNS``)."""
+        rows = [PATTERNS.index(p) for p in patterns]
+        return ~self.contains[rows].any(axis=0)
+
+
+def _lehmer_codes(words: np.ndarray) -> np.ndarray:
+    """(m, k) uint8 Lehmer codes of the rows of ``words`` (distinct values per row)."""
+    codes = np.zeros(words.shape, dtype=np.uint8)
+    for i in range(words.shape[1] - 1):
+        codes[:, i] = np.count_nonzero(words[:, i + 1 :] < words[:, i, None], axis=1)
+    return codes
+
+
+def _ranks(words: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks in S_k of the standardized rows of (m, k) ``words``."""
+    k = words.shape[1]
+    weights = np.array([factorial(k - 1 - i) for i in range(k)], dtype=np.int32)
+    return _lehmer_codes(words) @ weights
+
+
+def _parabolic_longest(subset: int, n: int) -> np.ndarray:
+    """w0(J) as a value lookup table, J the generators s_v with bit v - 1 of ``subset``.
+
+    Each run s_a, ..., s_b of J reverses the values a, ..., b + 1.
+
+    >>> _parabolic_longest(0b101, 4).tolist()
+    [0, 2, 1, 4, 3]
+    """
+    table = np.arange(n + 1, dtype=np.int8)
+    v = 1
+    while v < n:
+        start = v
+        while v < n and subset >> (v - 1) & 1:
+            v += 1
+        table[start : v + 1] = table[start : v + 1][::-1]
+        v += 1
+    return table
+
+
+def _weak_sizes(words: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """wk of every row by the Moebius recursion over left-descent subsets."""
+    n = words.shape[1]
+    positions = np.argsort(words, axis=1)  # positions[:, v - 1]: where value v sits
+    descents = np.zeros(len(words), dtype=np.uint8)
+    for v in range(1, n):  # s_v is a left descent when v + 1 comes before v
+        descents |= (positions[:, v] < positions[:, v - 1]).astype(np.uint8) << (v - 1)
+    # per J: the rows with J in D_L(w) and the ranks of w0(J) w, both by length
+    levels = np.arange(int(inv.max()) + 2)
+    terms = []
+    for subset in range(1, 1 << (n - 1)):
+        rows = np.flatnonzero((descents & subset) == subset)
+        rows = rows[np.argsort(inv[rows], kind="stable")].astype(np.int32)
+        targets = _ranks(_parabolic_longest(subset, n)[words[rows]])
+        bounds = np.searchsorted(inv[rows], levels).tolist()
+        terms.append((rows, targets, bounds, 1 if subset.bit_count() % 2 else -1))
+    # every w0(J) w is shorter than w, so a level reads only finished levels
+    wk = np.ones(len(words), dtype=np.int32)
+    for level in range(1, len(levels) - 1):
+        for rows, targets, bounds, sign in terms:
+            lo, hi = bounds[level], bounds[level + 1]
+            if lo < hi:
+                wk[rows[lo:hi]] += sign * wk[targets[lo:hi]]
+    return wk
+
+
+def _orientation_counts(words: np.ndarray) -> np.ndarray:
+    """ao of every row by inclusion-exclusion over increasing source sets."""
+    n = words.shape[1]
+    smaller = [np.ones(1, dtype=np.int32)] + [group_columns(k).ao for k in range(1, n)]
+    ao = np.zeros(len(words), dtype=np.int32)
+    for subset in range(1, 1 << n):
+        chosen = [i for i in range(n) if subset >> i & 1]
+        rest = [i for i in range(n) if not subset >> i & 1]
+        increasing = np.ones(len(words), dtype=bool)
+        for a, b in zip(chosen, chosen[1:]):
+            increasing &= words[:, a] < words[:, b]
+        rows = np.flatnonzero(increasing)
+        sign = 1 if len(chosen) % 2 else -1
+        ao[rows] += sign * smaller[len(rest)][_ranks(words[np.ix_(rows, rest)])]
+    return ao
+
+
+def _containment(words: np.ndarray) -> np.ndarray:
+    """Pattern containment rows: the pattern itself, or a one-letter deletion."""
+    n = words.shape[1]
+    contains = np.zeros((len(PATTERNS), len(words)), dtype=bool)
+    for t, pattern in enumerate(PATTERNS):
+        if pattern.n == n:
+            contains[t, _ranks(np.array([pattern.word]))[0]] = True
+    if n > 1:
+        smaller = group_columns(n - 1).contains
+        for d in range(n):
+            contains |= smaller[:, _ranks(np.delete(words, d, axis=1))]
+    return contains
+
+
+def _diagram_rows(words: np.ndarray) -> np.ndarray:
+    """(m, n) uint16 column masks of the south-west diagram rows:
+    row i holds w_j for every j > i with w_j > w_i."""
+    bits = np.left_shift(1, words.astype(np.uint16) - 1, dtype=np.uint16)
+    rows = np.zeros(words.shape, dtype=np.uint16)
+    for i in range(words.shape[1] - 1):
+        above = words[:, i + 1 :] > words[:, i, None]
+        rows[:, i] = np.bitwise_or.reduce(bits[:, i + 1 :] * above, axis=1)
+    return rows
+
+
+@lru_cache(maxsize=MAX_TABLE_N)
+def group_columns(n: int) -> GroupColumns:
+    """The cached, read-only columns of S_n, n <= 8 (those of S_{<n} come along).
+
+    >>> int(group_columns(4).prod[-1]), int(group_columns(4).ferrers.sum())
+    (24, 14)
+    """
+    table = group_table(n)  # enforces n <= 8
+    words = table.words
+    code = _lehmer_codes(words)
+    prod = np.prod(code.astype(np.int32) + 1, axis=1, dtype=np.int32)
+    diagram = _diagram_rows(words)
+    counts = popcounts(diagram.astype(np.uint32))
+    right_justified = diagram == (1 << n) - (1 << (n - counts.astype(np.int32)))
+    ferrers = right_justified.all(axis=1) & (counts[:, :-1] >= counts[:, 1:]).all(axis=1)
+    rk = permanents(diagram ^ np.uint16((1 << n) - 1)).astype(np.int32)
+    columns = GroupColumns(
+        n=n,
+        code=code,
+        prod=prod,
+        wk=_weak_sizes(words, table.inv),
+        ao=_orientation_counts(words),
+        rk=rk,
+        contains=_containment(words),
+        ferrers=ferrers,
+    )
+    for array in (
+        columns.code,
+        columns.prod,
+        columns.wk,
+        columns.ao,
+        columns.rk,
+        columns.contains,
+        columns.ferrers,
+    ):
+        array.setflags(write=False)  # every caller shares the cached arrays
+    return columns

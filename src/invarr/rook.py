@@ -24,10 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perm import Permutation, lehmer_code
+import numpy as np
+
+from .perm import Permutation, lehmer_code, popcounts
 from .qpoly import checked_int64
 
 MAX_PERMANENT_N = 12
+# Products one Ryser block holds at once (64 KiB of int32).
+_RYSER_CHUNK = 1 << 14
+_SUBSET_POPCOUNT = popcounts(np.arange(1 << MAX_PERMANENT_N, dtype=np.uint32))
 
 
 @dataclass(frozen=True)
@@ -80,19 +85,32 @@ def southwest_diagram(w: Permutation) -> Board:
     return Board(n, frozenset(cells))
 
 
-def _permanent_of_row_masks(masks: tuple[int, ...], n: int) -> int:
-    """Ryser inclusion-exclusion over column subsets S:
-    perm = sum over S of (-1)^(n - |S|) * prod_i popcount(row_i & S)."""
-    total = 0
-    for subset in range(1 << n):
-        prod = 1
-        for mask in masks:
-            prod *= (mask & subset).bit_count()
-            if prod == 0:
-                break
-        if prod:
-            total += prod if (n - subset.bit_count()) % 2 == 0 else -prod
-    return checked_int64(total)
+def permanents(rows: np.ndarray) -> np.ndarray:
+    """Permanents of n x n boards given as (N, n) uint16 column masks per row, int64.
+
+    Ryser inclusion-exclusion over the column subsets S:
+    perm = sum over S of (-1)^(n - |S|) * prod_i popcount(row_i & S),
+    for a block of boards against all 2^n subsets at once.  Blocks hold
+    at most _RYSER_CHUNK products; a product of n row counts reaches
+    n^n, which int32 holds up to n = 9.
+
+    >>> permanents(np.array([[3, 3], [1, 2]], dtype=np.uint16)).tolist()
+    [2, 1]
+    """
+    n = rows.shape[1]
+    subsets = np.arange(1 << n, dtype=np.uint16)
+    odd = (n - _SUBSET_POPCOUNT[: 1 << n]) % 2 == 1
+    signs = np.where(odd, -1, 1).astype(np.int64)
+    dtype = np.int32 if n <= 9 else np.int64
+    step = max(1, _RYSER_CHUNK >> n)
+    out = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        products = np.ones((len(block), 1 << n), dtype=dtype)
+        for i in range(n):
+            products *= _SUBSET_POPCOUNT[block[:, i, None] & subsets]
+        out[lo : lo + step] = products @ signs
+    return out
 
 
 def count_rook_placements(board: Board) -> int:
@@ -108,7 +126,8 @@ def count_rook_placements(board: Board) -> int:
         raise ValueError(
             f"rook counting supports n <= {MAX_PERMANENT_N}, got n={board.n}"
         )
-    return _permanent_of_row_masks(board.row_masks(), board.n)
+    rows = np.array([board.row_masks()], dtype=np.uint16)
+    return checked_int64(int(permanents(rows)[0]))
 
 
 def count_rook_placements_by_backtracking(board: Board) -> int:
@@ -146,8 +165,8 @@ def rook_count(w: Permutation) -> int:
         raise ValueError(f"rook_count supports n <= {MAX_PERMANENT_N}, got n={w.n}")
     full = (1 << w.n) - 1
     diagram = southwest_diagram(w).row_masks()
-    complement_rows = tuple(full ^ mask for mask in diagram)
-    return _permanent_of_row_masks(complement_rows, w.n)
+    complement_rows = np.array([[full ^ mask for mask in diagram]], dtype=np.uint16)
+    return checked_int64(int(permanents(complement_rows)[0]))
 
 
 def is_right_justified_ferrers(board: Board) -> bool:

@@ -16,13 +16,25 @@ pattern-characterized equality among the statistics is checked on every
 record; violations are collected with their full records, and empirical
 class counts summarize the sweep.
 
-Every whole-group quantity reads one cached table per n
+A sweep reads code, prod, wk, ao, rk, the pattern flags and the Ferrers
+flag of every record from the whole-group columns of S_n
+(``columns.group_columns``): wk by the Moebius recursion of weak order
+over left-descent subsets (Bjoerner and Brenti, GTM 231, section 3.2),
+ao by inclusion-exclusion over source sets (Stanley, Discrete Math. 5,
+1973), rk by one batched Ryser permanent and the pattern flags by
+one-letter deletion.  ``stat_record`` computes the same fields by the
+per-record routes (the weak filter, deletion-contraction, the Ryser
+permanent of one board, pattern backtracking); these, with backtracking
+rook search for rk, are the columns' oracles.  Both feed the one record
+assembly, ``_build_record``.
+
+Every other whole-group quantity reads one cached table per n
 (``perm.group_table``): weak intervals select the rows whose inversion
 mask lies inside I(w), Bruhat intervals the rows whose dominance counts
 R_u[i][j] = #{a <= i : u_a >= j} lie below R_w, compared only on the
 cells of Fulton's essential set of w0 w (Duke Math. J. 65, 1992), and
 regions are the distinct restrictions of the masks to I(w).  The table
-is built once per n, before any worker forks.
+and the columns are built once per n, before any worker forks.
 
 At depths ``polys`` and ``with_region_oracle`` every record gets its
 regions and their distance enumerator; only ``with_region_oracle`` also
@@ -45,6 +57,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +85,7 @@ DEPTHS = ("counts", "polys", "with_region_oracle")
 # forking and joining a pool costs more than the records do.
 MAX_IN_PROCESS_N = 5
 
-# 4231 is in both pattern bundles; each record tests it once.
+# 4231 is in both pattern bundles; stat_record tests it once.
 _PATTERN_4231 = Permutation((4, 2, 3, 1))
 _FOUR_WITHOUT_4231 = tuple(
     p for p in REGION_BRUHAT_EQUALITY_PATTERNS if p != _PATTERN_4231
@@ -161,6 +174,68 @@ class OracleCheckResult:
 # records and checks
 
 
+class _Row(NamedTuple):
+    """The fields of a record that come from the group columns in a sweep
+    (``_column_rows``) and from the per-record routes in ``stat_record``
+    (``_route_row``)."""
+
+    code: tuple[int, ...]
+    prod: int
+    wk: int
+    ao: int
+    rk: int
+    avoids_231: bool
+    avoids_312: bool
+    avoids_four: bool
+    avoids_3412_4231: bool
+    ferrers: bool
+
+
+def _column_rows(n: int, lo: int, hi: int) -> list[_Row]:
+    """The rows of lexicographic ranks lo..hi - 1, read from ``group_columns(n)``."""
+    from .columns import group_columns
+
+    columns = group_columns(n)
+    part = slice(lo, hi)
+
+    def avoiding(patterns: tuple[Permutation, ...]) -> list[bool]:
+        return columns.avoids(patterns)[part].tolist()
+
+    return list(
+        map(
+            _Row,
+            map(tuple, columns.code[part].tolist()),
+            columns.prod[part].tolist(),
+            columns.wk[part].tolist(),
+            columns.ao[part].tolist(),
+            columns.rk[part].tolist(),
+            avoiding((PATTERN_231,)),
+            avoiding((PATTERN_312,)),
+            avoiding(REGION_BRUHAT_EQUALITY_PATTERNS),
+            avoiding(POINCARE_MATCH_PATTERNS),
+            columns.ferrers[part].tolist(),
+        )
+    )
+
+
+def _route_row(w: Permutation) -> _Row:
+    """The same fields by the per-record routes, the columns' oracles."""
+    code = lehmer_code(w)
+    avoids_4231 = not contains_pattern(w, _PATTERN_4231)
+    return _Row(
+        code=code,
+        prod=code_product(w),
+        wk=orders.weak_interval_by_filter(w).size,
+        ao=arrangement.count_acyclic_orientations(arrangement.inversion_graph(w)),
+        rk=rook.rook_count(w),
+        avoids_231=not contains_pattern(w, PATTERN_231),
+        avoids_312=not contains_pattern(w, PATTERN_312),
+        avoids_four=avoids_4231 and avoids_all(w, _FOUR_WITHOUT_4231),
+        avoids_3412_4231=avoids_4231 and avoids_all(w, _POINCARE_WITHOUT_4231),
+        ferrers=rook.is_right_justified_ferrers(rook.southwest_diagram(w)),
+    )
+
+
 def _bulk_bruhat(word: Word, tables: GroupTable, want_poly: bool):
     below = tables.bruhat_below(word)
     size = int(np.count_nonzero(below))
@@ -169,28 +244,18 @@ def _bulk_bruhat(word: Word, tables: GroupTable, want_poly: bool):
     return size, length_polynomial(tables.inv[below])
 
 
-def _build_record(word: Word, depth: str, tables: GroupTable) -> tuple[StatRecord, dict]:
-    w = Permutation(word)
-    code = lehmer_code(w)
-    inv = sum(code)
-    prod = code_product(w)
+def _build_record(
+    word: Word, depth: str, tables: GroupTable, row: _Row
+) -> tuple[StatRecord, dict]:
     want_polys = depth != "counts"
-
-    weak = orders.weak_interval_by_filter(w)
     br, bruhat_poly = _bulk_bruhat(word, tables, want_polys)
-    ao = arrangement.count_acyclic_orientations(arrangement.inversion_graph(w))
-    rk = rook.rook_count(w)
-
-    avoids_231 = not contains_pattern(w, PATTERN_231)
-    avoids_312 = not contains_pattern(w, PATTERN_312)
-    avoids_4231 = not contains_pattern(w, _PATTERN_4231)
-    avoids_four = avoids_4231 and avoids_all(w, _FOUR_WITHOUT_4231)
-    avoids_3412_4231 = avoids_4231 and avoids_all(w, _POINCARE_WITHOUT_4231)
-    ferrers = rook.is_right_justified_ferrers(rook.southwest_diagram(w))
 
     re_count: int | None = None
-    distance_poly: QPolynomial | None = None
+    weak_poly = product_poly = distance_poly = None
     if want_polys:
+        w = Permutation(word)
+        weak_poly = orders.weak_interval_by_filter(w).poincare
+        product_poly = orders.product_q_formula(w)
         region_set = arrangement.regions(w)
         distance_poly = arrangement.distance_of_regions(region_set)
         if depth == "with_region_oracle":
@@ -198,23 +263,23 @@ def _build_record(word: Word, depth: str, tables: GroupTable) -> tuple[StatRecor
 
     record = StatRecord(
         w=word,
-        inv=inv,
-        code=code,
-        prod=prod,
-        wk=weak.size,
+        inv=sum(row.code),
+        code=row.code,
+        prod=row.prod,
+        wk=row.wk,
         br=br,
-        ao=ao,
-        rk=rk,
+        ao=row.ao,
+        rk=row.rk,
         re=re_count,
-        avoids_231_312=avoids_231 and avoids_312,
-        avoids_four=avoids_four,
-        avoids_3412_4231=avoids_3412_4231,
-        weak_poly=weak.poincare if want_polys else None,
+        avoids_231_312=row.avoids_231 and row.avoids_312,
+        avoids_four=row.avoids_four,
+        avoids_3412_4231=row.avoids_3412_4231,
+        weak_poly=weak_poly,
         bruhat_poly=bruhat_poly,
-        product_poly=orders.product_q_formula(w) if want_polys else None,
+        product_poly=product_poly,
         distance_poly=distance_poly,
     )
-    flags = {"avoids_231": avoids_231, "avoids_312": avoids_312, "ferrers": ferrers}
+    flags = {"avoids_231": row.avoids_231, "avoids_312": row.avoids_312, "ferrers": row.ferrers}
     return record, flags
 
 
@@ -330,7 +395,8 @@ def stat_record(w: Permutation, depth: str = "counts") -> StatRecord:
     """
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
-    record, _ = _build_record(w.word, depth, group_table(w.n))
+    tables = group_table(w.n)  # enforces n <= 8
+    record, _ = _build_record(w.word, depth, tables, _route_row(w))
     return record
 
 
@@ -341,8 +407,9 @@ def _sweep_block(
     records: list[StatRecord] = []
     violations: list[dict] = []
     counts = _fresh_class_counts(depth)
-    for rank, word in enumerate(itertools.islice(iter_words(n), lo, hi), start=lo):
-        record, flags = _build_record(word, depth, tables)
+    words = itertools.islice(iter_words(n), lo, hi)
+    for rank, word, row in zip(range(lo, hi), words, _column_rows(n, lo, hi)):
+        record, flags = _build_record(word, depth, tables, row)
         records.append(record)
         _update_class_counts(counts, record, flags)
         for name, ok, detail in _record_checks(record, flags):
@@ -379,7 +446,12 @@ def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> Swee
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    group_table(n)  # enforces n <= 8; built before forking so workers inherit it
+    # Imported by the sweeps alone: stat_record and the CLI never read the
+    # columns, and an interpreter that caches no bytecode compiles every
+    # module it imports.
+    from .columns import group_columns
+
+    group_columns(n)  # enforces n <= 8; built with the group table before forking
 
     total = factorial(n)
     if parallelism is None:
@@ -492,6 +564,8 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
     Each comparison clamps the requested n to the largest size its
     oracle affords; the result rows state the n actually used.
     """
+    from .columns import PATTERNS, group_columns
+
     if n < 1:
         raise ValueError("n must be at least 1")
     results = []
@@ -500,15 +574,16 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
         used = min(n, cap)
         detail = ""
         passed = True
-        for w in (Permutation(word) for word in iter_words(used)):
-            mismatch = body(w)
+        for rank, word in enumerate(iter_words(used)):
+            w = Permutation(word)
+            mismatch = body(rank, w)
             if mismatch:
                 passed = False
                 detail = f"w={w}: {mismatch}"
                 break
         results.append(OracleCheckResult(name=name, n=used, passed=passed, detail=detail))
 
-    def bruhat_body(w: Permutation) -> str:
+    def bruhat_body(_rank: int, w: Permutation) -> str:
         fast = orders.bruhat_interval(w, with_elements=True)
         slow = orders.bruhat_interval_by_chains(w, with_elements=True)
         if fast.size != slow.size or fast.poincare != slow.poincare:
@@ -517,13 +592,13 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
             return "element sets differ"
         return ""
 
-    def orientation_body(w: Permutation) -> str:
+    def orientation_body(_rank: int, w: Permutation) -> str:
         g = arrangement.inversion_graph(w)
         fast = arrangement.count_acyclic_orientations(g)
         slow = arrangement.count_acyclic_orientations_by_enumeration(g)
         return "" if fast == slow else f"deletion-contraction {fast} vs enumeration {slow}"
 
-    def rook_body(w: Permutation) -> str:
+    def rook_body(_rank: int, w: Permutation) -> str:
         board = rook.southwest_diagram(w).complement()
         fast = rook.count_rook_placements(board)
         slow = rook.count_rook_placements_by_backtracking(board)
@@ -533,21 +608,50 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
             return "rook_count disagrees with complement board count"
         return ""
 
-    def weak_body(w: Permutation) -> str:
+    def weak_body(_rank: int, w: Permutation) -> str:
         fast = orders.weak_interval(w)
         slow = orders.weak_interval_by_filter(w)
         if fast.size != slow.size or fast.poincare != slow.poincare:
             return f"bfs {fast.size} vs filter {slow.size}"
         return ""
 
-    def region_body(w: Permutation) -> str:
+    def region_body(_rank: int, w: Permutation) -> str:
         re_count = arrangement.regions(w).size
         ao = arrangement.count_acyclic_orientations(arrangement.inversion_graph(w))
         return "" if re_count == ao else f"regions {re_count} vs orientations {ao}"
+
+    def weak_column_body(rank: int, w: Permutation) -> str:
+        column = int(group_columns(w.n).wk[rank])
+        route = orders.weak_interval_by_filter(w).size
+        return "" if column == route else f"column {column} vs filter {route}"
+
+    def orientation_column_body(rank: int, w: Permutation) -> str:
+        column = int(group_columns(w.n).ao[rank])
+        route = arrangement.count_acyclic_orientations(arrangement.inversion_graph(w))
+        return "" if column == route else f"column {column} vs deletion-contraction {route}"
+
+    def rook_column_body(rank: int, w: Permutation) -> str:
+        columns = group_columns(w.n)
+        diagram = rook.southwest_diagram(w)
+        route = rook.count_rook_placements_by_backtracking(diagram.complement())
+        if int(columns.rk[rank]) != route:
+            return f"column {int(columns.rk[rank])} vs backtracking {route}"
+        if bool(columns.ferrers[rank]) != rook.is_right_justified_ferrers(diagram):
+            return "Ferrers column disagrees with the diagram"
+        return ""
+
+    def pattern_column_body(rank: int, w: Permutation) -> str:
+        column = group_columns(w.n).contains[:, rank].tolist()
+        route = [contains_pattern(w, p) for p in PATTERNS]
+        return "" if column == route else f"column {column} vs backtracking {route}"
 
     run("bruhat_dominance_vs_chain_closure", 5, bruhat_body)
     run("orientations_deletion_contraction_vs_enumeration", 5, orientation_body)
     run("rook_permanent_vs_backtracking", 6, rook_body)
     run("weak_bfs_vs_filter", 6, weak_body)
     run("regions_vs_acyclic_orientations", 6, region_body)
+    run("weak_column_vs_filter", 7, weak_column_body)
+    run("orientation_column_vs_deletion_contraction", 7, orientation_column_body)
+    run("rook_column_vs_backtracking", 6, rook_column_body)
+    run("pattern_columns_vs_backtracking", 7, pattern_column_body)
     return results

@@ -313,6 +313,10 @@ def test_criterion_12_oracle_equivalences():
         "rook_permanent_vs_backtracking": 6,
         "weak_bfs_vs_filter": 6,
         "regions_vs_acyclic_orientations": 6,
+        "weak_column_vs_filter": 6,
+        "orientation_column_vs_deletion_contraction": 6,
+        "rook_column_vs_backtracking": 6,
+        "pattern_columns_vs_backtracking": 6,
     }
     rng = random.Random(20260819)
     graphs = 0

@@ -1,0 +1,149 @@
+"""The whole-group statistic columns against the per-record routes.
+
+Each column comes from a recursion that shares no arithmetic with the
+route ``stat_record`` uses: wk (Moebius recursion) against the weak
+filter, ao (source sets) against deletion-contraction, rk (batched
+Ryser) against backtracking rook search, the pattern flags (one-letter
+deletion) against pattern backtracking, and the Ferrers flag against the
+diagram test.
+"""
+
+import random
+from math import factorial
+
+import numpy as np
+import pytest
+
+from invarr import arrangement, cli, orders, rook, verify
+from invarr.columns import PATTERNS, group_columns
+from invarr.perm import (
+    PATTERN_231,
+    PATTERN_312,
+    Permutation,
+    code_product,
+    contains_pattern,
+    iter_words,
+    lehmer_code,
+    unrank_lex,
+)
+
+S8_SAMPLE_SEED = 20261018
+
+
+def _route_values(w: Permutation) -> tuple:
+    diagram = rook.southwest_diagram(w)
+    return (
+        lehmer_code(w),
+        code_product(w),
+        orders.weak_interval_by_filter(w).size,
+        arrangement.count_acyclic_orientations(arrangement.inversion_graph(w)),
+        rook.count_rook_placements_by_backtracking(diagram.complement()),
+        tuple(contains_pattern(w, p) for p in PATTERNS),
+        rook.is_right_justified_ferrers(diagram),
+    )
+
+
+def _column_values(n: int, rank: int) -> tuple:
+    columns = group_columns(n)
+    return (
+        tuple(columns.code[rank].tolist()),
+        int(columns.prod[rank]),
+        int(columns.wk[rank]),
+        int(columns.ao[rank]),
+        int(columns.rk[rank]),
+        tuple(columns.contains[:, rank].tolist()),
+        bool(columns.ferrers[rank]),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_column_matches_its_route_on_all_of_s_n(n):
+    for rank, word in enumerate(iter_words(n)):
+        assert _column_values(n, rank) == _route_values(Permutation(word)), word
+
+
+def test_every_column_matches_its_route_on_an_s8_sample():
+    ranks = [0, factorial(8) - 1] + random.Random(S8_SAMPLE_SEED).sample(
+        range(1, factorial(8) - 1), 400
+    )
+    for rank in ranks:
+        w = unrank_lex(8, rank)
+        assert _column_values(8, rank) == _route_values(w), w.word
+
+
+def test_s8_catalan_avoiders_and_rk_equals_ao():
+    columns = group_columns(8)
+    avoids_231 = columns.avoids((PATTERN_231,))
+    avoids_312 = columns.avoids((PATTERN_312,))
+    assert int(avoids_231.sum()) == int(avoids_312.sum()) == 1430
+    assert int((avoids_231 & avoids_312).sum()) == 2**7
+    assert np.array_equal(columns.rk, columns.ao)
+    assert len(columns.rk) == factorial(8)
+
+
+def test_ao_column_matches_networkx_chromatic_polynomial():
+    nx = pytest.importorskip("networkx")
+    graphs = 0
+    for n in (4, 5):
+        columns = group_columns(n)
+        for rank, word in enumerate(iter_words(n)):
+            graph = nx.Graph()
+            graph.add_nodes_from(range(1, n + 1))
+            graph.add_edges_from(arrangement.inversion_graph(Permutation(word)).edges)
+            chi = nx.chromatic_polynomial(graph)
+            (x,) = chi.free_symbols
+            assert abs(int(chi.subs(x, -1))) == int(columns.ao[rank]), word
+            graphs += 1
+    assert graphs == 144
+
+
+def test_read_only_cached_and_bounded():
+    for n in range(1, 8):
+        columns = group_columns(n)
+        assert group_columns(n) is columns
+        for name in ("code", "prod", "wk", "ao", "rk", "contains", "ferrers"):
+            array = getattr(columns, name)
+            assert not array.flags.writeable, name
+            rows = array.shape[0] if name == "code" else array.shape[-1]
+            assert rows == factorial(n), name
+        assert columns.code.dtype == np.uint8 and columns.contains.dtype == bool
+        for name in ("prod", "wk", "ao", "rk"):
+            assert getattr(columns, name).dtype == np.int32, name
+    assert group_columns.cache_info().maxsize == 8
+    for n in (0, 9):
+        with pytest.raises(ValueError, match="n <= 8"):
+            group_columns(n)
+
+
+def test_stat_record_and_the_cli_build_no_columns(capsys):
+    group_columns.cache_clear()
+    w = Permutation((3, 1, 4, 8, 5, 2, 7, 6))
+    record = verify.stat_record(w, "with_region_oracle")
+    assert cli.run(["stats", "31485276", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert group_columns.cache_info().currsize == 0
+    assert (record.wk, record.ao, record.rk) == _route_values(w)[2:5]
+
+
+def test_a_sweep_reads_the_columns_and_calls_no_per_record_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-record route called during a sweep")
+
+    for owner, name in (
+        (verify, "lehmer_code"),
+        (verify, "code_product"),
+        (verify, "contains_pattern"),
+        (verify, "avoids_all"),
+        (arrangement, "count_acyclic_orientations"),
+        (rook, "rook_count"),
+        (rook, "is_right_justified_ferrers"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    report = verify.sweep(5, "counts", parallelism=1)
+    assert len(report.records) == 120 and report.violations == ()
+
+
+def test_weak_poly_at_one_equals_the_weak_column(sweep7_polys):
+    records = sweep7_polys.report.records
+    assert len(records) == 5040
+    assert all(r.weak_poly(1) == r.wk for r in records)

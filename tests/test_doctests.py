@@ -5,6 +5,7 @@ import doctest
 import pytest
 
 import invarr.arrangement
+import invarr.columns
 import invarr.orders
 import invarr.perm
 import invarr.qpoly
@@ -13,6 +14,7 @@ import invarr.verify
 
 MODULES = [
     invarr.arrangement,
+    invarr.columns,
     invarr.orders,
     invarr.perm,
     invarr.qpoly,

@@ -2,8 +2,10 @@
 
 from math import factorial
 
+import numpy as np
 import pytest
 
+from invarr import rook
 from invarr.perm import (
     PATTERN_312,
     Permutation,
@@ -90,6 +92,23 @@ class TestRookCount:
                 fast = count_rook_placements(board)
                 slow = count_rook_placements_by_backtracking(board)
                 assert fast == slow, word
+
+    def test_batched_permanents_span_blocks_and_wide_products(self):
+        # 300 boards at n = 7 fill three Ryser blocks; n = 10..12 take int64 products
+        words = list(iter_words(7))[::17]
+        rows = np.array(
+            [southwest_diagram(Permutation(w)).complement().row_masks() for w in words],
+            dtype=np.uint16,
+        )
+        assert len(rows) > 2 * (rook._RYSER_CHUNK >> 7)
+        expected = [
+            count_rook_placements_by_backtracking(southwest_diagram(Permutation(w)).complement())
+            for w in words
+        ]
+        assert rook.permanents(rows).tolist() == expected
+        for n in (10, 11, 12):
+            assert rook_count(Permutation.longest(n)) == factorial(n)
+            assert rook_count(Permutation.identity(n)) == 1
 
     def test_caps(self):
         with pytest.raises(ValueError, match="n <= 12"):

@@ -358,6 +358,10 @@ class TestOracleChecks:
             "rook_permanent_vs_backtracking",
             "weak_bfs_vs_filter",
             "regions_vs_acyclic_orientations",
+            "weak_column_vs_filter",
+            "orientation_column_vs_deletion_contraction",
+            "rook_column_vs_backtracking",
+            "pattern_columns_vs_backtracking",
         ]
         assert all(r.passed for r in results)
         assert all(r.n == 3 for r in results)
@@ -371,6 +375,10 @@ class TestOracleChecks:
         assert by_name["rook_permanent_vs_backtracking"] == 6
         assert by_name["weak_bfs_vs_filter"] == 6
         assert by_name["regions_vs_acyclic_orientations"] == 6
+        assert by_name["weak_column_vs_filter"] == 7
+        assert by_name["orientation_column_vs_deletion_contraction"] == 7
+        assert by_name["rook_column_vs_backtracking"] == 6
+        assert by_name["pattern_columns_vs_backtracking"] == 7
         assert all(r.passed for r in results)
 
     def test_validation(self):
