@@ -2,15 +2,17 @@
 
 For n <= 8, ``group_columns(n)`` holds, row k for the word of
 lexicographic rank k (the rows of ``perm.group_table``), the Lehmer
-codes and code products, the weak interval sizes wk, the acyclic
+codes and code products, the weak interval sizes wk, the Bruhat
+interval sizes by length (whose row sums are br), the acyclic
 orientation counts ao, the rook counts rk, the containment flags of the
 seven patterns of the paper's characterizations and the Ferrers flag of
 the south-west diagram.  A sweep reads its records' statistics from
 these columns; ``verify.stat_record`` keeps the per-record routes (the
-weak filter, deletion-contraction, backtracking), and they are the
-columns' oracles.  Each column comes from a recursion over the whole
-group that shares no arithmetic with those routes, so the checked
-relations rk = ao and wk <= prod keep their meaning:
+weak filter, the essential-set filter ``GroupTable.bruhat_below``,
+deletion-contraction, backtracking), and they are the columns' oracles.
+Each column except Bruhat's comes from a recursion over the whole group
+that shares no arithmetic with those routes, so the checked relations
+rk = ao and wk <= prod keep their meaning:
 
 * wk by the Moebius recursion of left weak order (Bjoerner and Brenti,
   *Combinatorics of Coxeter Groups*, GTM 231, 2005, section 3.2).
@@ -31,9 +33,19 @@ relations rk = ao and wk <= prod keep their meaning:
   contains p exactly when some standardized deletion of one letter of w
   does, read from the column of S_{n-1}.
 
+The Bruhat column evaluates the criterion of ``bruhat_below`` for every
+word at once: u <= w exactly when the dominance counts of u lie below
+those of w on the cells of Fulton's essential set of w0 w (Duke Math.
+J. 65, 1992).  Each (dominance column, bound) pair becomes one packed
+bitset over S_n, the bit axis ordered by length, and a row of length
+counts is the AND of the bitsets of its essential cells, popcounted one
+length segment at a time.
+
 >>> columns = group_columns(3)
 >>> columns.wk.tolist(), columns.ao.tolist(), columns.rk.tolist()
 ([1, 2, 2, 3, 3, 6], [1, 2, 2, 4, 4, 6], [1, 2, 2, 4, 4, 6])
+>>> columns.bruhat.sum(axis=1).tolist(), columns.bruhat[3].tolist()
+([1, 2, 2, 4, 4, 6], [1, 2, 1, 0])
 >>> str(PATTERNS[0]), columns.avoids(PATTERNS[:1]).tolist()
 ('231', [True, True, True, False, True, True])
 """
@@ -51,11 +63,18 @@ from .perm import (
     POINCARE_MATCH_PATTERNS,
     REGION_BRUHAT_EQUALITY_PATTERNS,
     WEAK_EQUALITY_PATTERNS,
+    GroupTable,
     Permutation,
     group_table,
     popcounts,
 )
 from .rook import permanents
+
+# Bit counts of the 16-bit values: np.bitwise_count is NumPy 2 only.
+_SHORT_POPCOUNT = popcounts(np.arange(1 << 16, dtype=np.uint32))
+# Words per AND pass of the Bruhat column: 256 rows of bitsets are 1.3 MB
+# at n = 8, and the whole index 3.0 MB.
+_BRUHAT_CHUNK = 256
 
 # The distinct patterns of the characterizations, one containment row each.
 PATTERNS: tuple[Permutation, ...] = tuple(
@@ -73,6 +92,7 @@ class GroupColumns:
     code: np.ndarray  # (n!, n) uint8 Lehmer codes
     prod: np.ndarray  # (n!,) int32 code products
     wk: np.ndarray  # (n!,) int32 weak interval sizes
+    bruhat: np.ndarray  # (n!, C(n, 2) + 1) uint16: [k, l] = #{u <= w_k : inv(u) = l}
     ao: np.ndarray  # (n!,) int32 acyclic orientations of the inversion graph
     rk: np.ndarray  # (n!,) int32 rook placements
     contains: np.ndarray  # (len(PATTERNS), n!) bool, row t for PATTERNS[t]
@@ -186,6 +206,81 @@ def _diagram_rows(words: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _essential_cells(words: np.ndarray) -> np.ndarray:
+    """(m, n, n) bool: [k, i - 1, j - 1] when (i, j) is in the essential set of w0 w_k.
+
+    With v = w0 w (v_i = n + 1 - w_i) the Rothe diagram is
+    D(v) = {(i, j) : v_i > j, v^-1(j) > i}, and a cell of D(v) is
+    essential when neither (i + 1, j) nor (i, j + 1) is in D(v); the
+    same cells as ``perm._essential_conditions``.
+    """
+    n = words.shape[1]
+    v = n + 1 - words
+    position = np.argsort(v, axis=1) + 1  # position[:, j - 1] = v^-1(j)
+    index = np.arange(1, n + 1)
+    diagram = (v[:, :, None] > index) & (position[:, None, :] > index[:, None])
+    essential = diagram.copy()
+    essential[:, :-1] &= ~diagram[:, 1:]
+    essential[:, :, :-1] &= ~diagram[:, :, 1:]
+    return essential
+
+
+def _bruhat_counts(table: GroupTable) -> np.ndarray:
+    """(n!, C(n, 2) + 1) uint16 Bruhat interval sizes by length, row k for w_k.
+
+    u <= w exactly when dom[u, c] <= dom[w, c] for the dominance column
+    c = (i - 1) n + n - j of every essential cell (i, j) of w0 w.  The
+    index row c (n + 1) + b holds {u : dom[u, c] <= b} as packed bits, the
+    bit axis sorted by length with each length class padded to whole
+    64-bit words, so a row of counts is the AND of its cells' bitsets,
+    popcounted segment by segment.  Only the segments of lengths up to
+    inv(w) can hold a u <= w.  w0, whose essential set is empty, lies
+    above every word.
+    """
+    n, inv, dom = table.n, table.inv, table.dom
+    lengths = np.bincount(inv)  # the Mahonian numbers: every length occurs
+    segments = np.concatenate(([0], np.cumsum((lengths + 63) // 64)))
+    by_length = np.argsort(inv, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    sorted_inv = inv[by_length]
+    bit = np.empty(len(inv), dtype=np.int64)
+    bit[by_length] = 64 * segments[sorted_inv] + np.arange(len(inv)) - starts[sorted_inv]
+
+    index = np.empty((n * n, n + 1, segments[-1]), dtype=np.uint64)
+    bits = np.zeros((n * n, 64 * segments[-1]), dtype=bool)
+    for bound in range(n + 1):
+        bits[:, bit] = dom.T <= bound
+        index[:, bound] = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    index = index.reshape(n * n * (n + 1), segments[-1])
+
+    # the essential cells of each word as index rows, word by word
+    ranks, cells = np.nonzero(_essential_cells(table.words).reshape(len(inv), n * n))
+    column_of_cell = (n * np.arange(n)[:, None] + np.arange(n - 1, -1, -1)).ravel()
+    columns = column_of_cell[cells]
+    conditions = (n + 1) * columns + dom[ranks, columns]
+    sizes = np.bincount(ranks, minlength=len(inv))
+    first = np.concatenate(([0], np.cumsum(sizes)))
+
+    counts = np.zeros((len(inv), len(lengths)), dtype=np.uint16)
+    counts[sizes == 0] = lengths
+    order = np.lexsort((inv, sizes))  # by essential-set size, then by length
+    groups = np.concatenate(([0], np.cumsum(np.bincount(sizes))))
+    for size in range(1, len(groups) - 1):
+        group = order[groups[size] : groups[size + 1]]
+        for lo in range(0, len(group), _BRUHAT_CHUNK):
+            rows = group[lo : lo + _BRUHAT_CHUNK]
+            top = int(inv[rows[-1]]) + 1
+            cell = conditions[first[rows, None] + np.arange(size)]
+            below = index[cell[:, 0], : segments[top]]
+            for t in range(1, size):
+                below &= index[cell[:, t], : segments[top]]
+            ones = _SHORT_POPCOUNT[below.view(np.uint16)]
+            counts[rows, :top] = np.add.reduceat(
+                ones, 4 * segments[:top], axis=1, dtype=np.uint16
+            )
+    return counts
+
+
 @lru_cache(maxsize=MAX_TABLE_N)
 def group_columns(n: int) -> GroupColumns:
     """The cached, read-only columns of S_n, n <= 8 (those of S_{<n} come along).
@@ -207,6 +302,7 @@ def group_columns(n: int) -> GroupColumns:
         code=code,
         prod=prod,
         wk=_weak_sizes(words, table.inv),
+        bruhat=_bruhat_counts(table),
         ao=_orientation_counts(words),
         rk=rk,
         contains=_containment(words),
@@ -216,6 +312,7 @@ def group_columns(n: int) -> GroupColumns:
         columns.code,
         columns.prod,
         columns.wk,
+        columns.bruhat,
         columns.ao,
         columns.rk,
         columns.contains,

@@ -462,7 +462,13 @@ class GroupTable:
         return (self.masks & ~np.uint32(target_mask)) == 0
 
     def bruhat_below(self, word: Word) -> np.ndarray:
-        """Rows u <= ``word`` in Bruhat order, by the essential-set columns."""
+        """Rows u <= ``word`` in Bruhat order, by the essential-set columns.
+
+        The route of ``verify.stat_record`` and ``orders.bruhat_interval``
+        for one word, and the oracle of the sweeps' whole-group Bruhat
+        column (``columns.group_columns(n).bruhat``), which evaluates the
+        same conditions for every word at once.
+        """
         below = np.ones(len(self.dom), dtype=bool)
         for column, bound in _essential_conditions(word):
             below &= self.dom[:, column] <= bound

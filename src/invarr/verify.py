@@ -16,25 +16,30 @@ pattern-characterized equality among the statistics is checked on every
 record; violations are collected with their full records, and empirical
 class counts summarize the sweep.
 
-A sweep reads code, prod, wk, ao, rk, the pattern flags and the Ferrers
-flag of every record from the whole-group columns of S_n
-(``columns.group_columns``): wk by the Moebius recursion of weak order
-over left-descent subsets (Bjoerner and Brenti, GTM 231, section 3.2),
+A sweep reads code, prod, wk, br, ao, rk, the pattern flags, the
+Ferrers flag and the Bruhat length counts of every record from the
+whole-group columns of S_n (``columns.group_columns``): wk by the
+Moebius recursion of weak order over left-descent subsets (Bjoerner and
+Brenti, GTM 231, section 3.2), br and its length counts by Fulton's
+essential-set criterion evaluated for the whole group on packed bitsets,
 ao by inclusion-exclusion over source sets (Stanley, Discrete Math. 5,
 1973), rk by one batched Ryser permanent and the pattern flags by
 one-letter deletion.  ``stat_record`` computes the same fields by the
-per-record routes (the weak filter, deletion-contraction, the Ryser
-permanent of one board, pattern backtracking); these, with backtracking
-rook search for rk, are the columns' oracles.  Both feed the one record
+per-record routes (the weak filter, the essential-set filter
+``GroupTable.bruhat_below``, deletion-contraction, the Ryser permanent
+of one board, pattern backtracking); these, with backtracking rook
+search for rk, are the columns' oracles.  Both feed the one record
 assembly, ``_build_record``.
 
-Every other whole-group quantity reads one cached table per n
+The per-record routes and the regions read one cached table per n
 (``perm.group_table``): weak intervals select the rows whose inversion
 mask lies inside I(w), Bruhat intervals the rows whose dominance counts
 R_u[i][j] = #{a <= i : u_a >= j} lie below R_w, compared only on the
 cells of Fulton's essential set of w0 w (Duke Math. J. 65, 1992), and
 regions are the distinct restrictions of the masks to I(w).  The table
-and the columns are built once per n, before any worker forks.
+and the columns are built once per n, before any worker forks.  The
+weak Poincare polynomial has no column: at depths past ``counts`` every
+record gets it from the weak filter, once.
 
 At depths ``polys`` and ``with_region_oracle`` every record gets its
 regions and their distance enumerator; only ``with_region_oracle`` also
@@ -177,11 +182,12 @@ class OracleCheckResult:
 class _Row(NamedTuple):
     """The fields of a record that come from the group columns in a sweep
     (``_column_rows``) and from the per-record routes in ``stat_record``
-    (``_route_row``)."""
+    (``_route_row``); the two polynomials are None at depth ``counts``."""
 
     code: tuple[int, ...]
     prod: int
     wk: int
+    br: int
     ao: int
     rk: int
     avoids_231: bool
@@ -189,24 +195,38 @@ class _Row(NamedTuple):
     avoids_four: bool
     avoids_3412_4231: bool
     ferrers: bool
+    weak_poly: QPolynomial | None
+    bruhat_poly: QPolynomial | None
 
 
-def _column_rows(n: int, lo: int, hi: int) -> list[_Row]:
-    """The rows of lexicographic ranks lo..hi - 1, read from ``group_columns(n)``."""
+def _column_rows(n: int, depth: str, lo: int, hi: int) -> list[_Row]:
+    """The rows of lexicographic ranks lo..hi - 1, read from ``group_columns(n)``.
+
+    No column holds the weak polynomial: past depth ``counts`` each row
+    gets it from the weak filter, as in ``stat_record``.
+    """
     from .columns import group_columns
 
     columns = group_columns(n)
     part = slice(lo, hi)
+    bruhat = columns.bruhat[part]
 
     def avoiding(patterns: tuple[Permutation, ...]) -> list[bool]:
         return columns.avoids(patterns)[part].tolist()
 
+    if depth == "counts":
+        weak_polys = bruhat_polys = itertools.repeat(None)
+    else:
+        words = itertools.islice(iter_words(n), lo, hi)
+        weak_polys = (orders.weak_interval_by_filter(Permutation(w)).poincare for w in words)
+        bruhat_polys = map(QPolynomial, bruhat.tolist())
     return list(
         map(
             _Row,
             map(tuple, columns.code[part].tolist()),
             columns.prod[part].tolist(),
             columns.wk[part].tolist(),
+            bruhat.sum(axis=1).tolist(),
             columns.ao[part].tolist(),
             columns.rk[part].tolist(),
             avoiding((PATTERN_231,)),
@@ -214,18 +234,25 @@ def _column_rows(n: int, lo: int, hi: int) -> list[_Row]:
             avoiding(REGION_BRUHAT_EQUALITY_PATTERNS),
             avoiding(POINCARE_MATCH_PATTERNS),
             columns.ferrers[part].tolist(),
+            weak_polys,
+            bruhat_polys,
         )
     )
 
 
-def _route_row(w: Permutation) -> _Row:
+def _route_row(w: Permutation, depth: str) -> _Row:
     """The same fields by the per-record routes, the columns' oracles."""
+    tables = group_table(w.n)  # enforces n <= 8
+    want_polys = depth != "counts"
     code = lehmer_code(w)
+    weak = orders.weak_interval_by_filter(w)
+    br, bruhat_poly = _bulk_bruhat(w.word, tables, want_polys)
     avoids_4231 = not contains_pattern(w, _PATTERN_4231)
     return _Row(
         code=code,
         prod=code_product(w),
-        wk=orders.weak_interval_by_filter(w).size,
+        wk=weak.size,
+        br=br,
         ao=arrangement.count_acyclic_orientations(arrangement.inversion_graph(w)),
         rk=rook.rook_count(w),
         avoids_231=not contains_pattern(w, PATTERN_231),
@@ -233,6 +260,8 @@ def _route_row(w: Permutation) -> _Row:
         avoids_four=avoids_4231 and avoids_all(w, _FOUR_WITHOUT_4231),
         avoids_3412_4231=avoids_4231 and avoids_all(w, _POINCARE_WITHOUT_4231),
         ferrers=rook.is_right_justified_ferrers(rook.southwest_diagram(w)),
+        weak_poly=weak.poincare if want_polys else None,
+        bruhat_poly=bruhat_poly,
     )
 
 
@@ -244,17 +273,11 @@ def _bulk_bruhat(word: Word, tables: GroupTable, want_poly: bool):
     return size, length_polynomial(tables.inv[below])
 
 
-def _build_record(
-    word: Word, depth: str, tables: GroupTable, row: _Row
-) -> tuple[StatRecord, dict]:
-    want_polys = depth != "counts"
-    br, bruhat_poly = _bulk_bruhat(word, tables, want_polys)
-
+def _build_record(word: Word, depth: str, row: _Row) -> tuple[StatRecord, dict]:
     re_count: int | None = None
-    weak_poly = product_poly = distance_poly = None
-    if want_polys:
+    product_poly = distance_poly = None
+    if depth != "counts":
         w = Permutation(word)
-        weak_poly = orders.weak_interval_by_filter(w).poincare
         product_poly = orders.product_q_formula(w)
         region_set = arrangement.regions(w)
         distance_poly = arrangement.distance_of_regions(region_set)
@@ -267,15 +290,15 @@ def _build_record(
         code=row.code,
         prod=row.prod,
         wk=row.wk,
-        br=br,
+        br=row.br,
         ao=row.ao,
         rk=row.rk,
         re=re_count,
         avoids_231_312=row.avoids_231 and row.avoids_312,
         avoids_four=row.avoids_four,
         avoids_3412_4231=row.avoids_3412_4231,
-        weak_poly=weak_poly,
-        bruhat_poly=bruhat_poly,
+        weak_poly=row.weak_poly,
+        bruhat_poly=row.bruhat_poly,
         product_poly=product_poly,
         distance_poly=distance_poly,
     )
@@ -395,21 +418,19 @@ def stat_record(w: Permutation, depth: str = "counts") -> StatRecord:
     """
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
-    tables = group_table(w.n)  # enforces n <= 8
-    record, _ = _build_record(w.word, depth, tables, _route_row(w))
+    record, _ = _build_record(w.word, depth, _route_row(w, depth))
     return record
 
 
 def _sweep_block(
     n: int, depth: str, lo: int, hi: int
 ) -> tuple[list[StatRecord], list[dict], dict[str, int]]:
-    tables = group_table(n)
     records: list[StatRecord] = []
     violations: list[dict] = []
     counts = _fresh_class_counts(depth)
     words = itertools.islice(iter_words(n), lo, hi)
-    for rank, word, row in zip(range(lo, hi), words, _column_rows(n, lo, hi)):
-        record, flags = _build_record(word, depth, tables, row)
+    for rank, word, row in zip(range(lo, hi), words, _column_rows(n, depth, lo, hi)):
+        record, flags = _build_record(word, depth, row)
         records.append(record)
         _update_class_counts(counts, record, flags)
         for name, ok, detail in _record_checks(record, flags):
@@ -645,6 +666,13 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
         route = [contains_pattern(w, p) for p in PATTERNS]
         return "" if column == route else f"column {column} vs backtracking {route}"
 
+    def bruhat_column_body(rank: int, w: Permutation) -> str:
+        column = group_columns(w.n).bruhat[rank].tolist()
+        table = group_table(w.n)
+        lengths = table.inv[table.bruhat_below(w.word)]
+        route = np.bincount(lengths, minlength=len(column)).tolist()
+        return "" if column == route else f"column {column} vs essential filter {route}"
+
     run("bruhat_dominance_vs_chain_closure", 5, bruhat_body)
     run("orientations_deletion_contraction_vs_enumeration", 5, orientation_body)
     run("rook_permanent_vs_backtracking", 6, rook_body)
@@ -654,4 +682,5 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
     run("orientation_column_vs_deletion_contraction", 7, orientation_column_body)
     run("rook_column_vs_backtracking", 6, rook_column_body)
     run("pattern_columns_vs_backtracking", 7, pattern_column_body)
+    run("bruhat_column_vs_essential_filter", 7, bruhat_column_body)
     return results

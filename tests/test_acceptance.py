@@ -317,6 +317,7 @@ def test_criterion_12_oracle_equivalences():
         "orientation_column_vs_deletion_contraction": 6,
         "rook_column_vs_backtracking": 6,
         "pattern_columns_vs_backtracking": 6,
+        "bruhat_column_vs_essential_filter": 6,
     }
     rng = random.Random(20260819)
     graphs = 0
@@ -334,7 +335,7 @@ def test_criterion_12_oracle_equivalences():
         12,
         "fast routes match definitional oracles",
         ok,
-        f"5 exhaustive route comparisons at their caps plus {graphs} seeded "
+        f"{len(results)} exhaustive route comparisons at their caps plus {graphs} seeded "
         f"random graphs with <= 16 edges, {elapsed:.2f} s",
     )
 

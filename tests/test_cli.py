@@ -210,7 +210,7 @@ class TestOracleCheck:
         code, out, _ = run_cli(capsys, "oracle-check", "--n", "2")
         assert code == 0
         lines = out.splitlines()
-        assert len(lines) == 9
+        assert len(lines) == 10
         assert all(line.endswith("PASS") for line in lines)
         assert lines[0] == "bruhat_dominance_vs_chain_closure: n=2 PASS"
 
@@ -219,7 +219,7 @@ class TestOracleCheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert len(doc["checks"]) == 9
+        assert len(doc["checks"]) == 10
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         fake = [verify.OracleCheckResult(name="x", n=2, passed=False, detail="boom")]

@@ -5,7 +5,9 @@ route ``stat_record`` uses: wk (Moebius recursion) against the weak
 filter, ao (source sets) against deletion-contraction, rk (batched
 Ryser) against backtracking rook search, the pattern flags (one-letter
 deletion) against pattern backtracking, and the Ferrers flag against the
-diagram test.
+diagram test.  The Bruhat column (essential-set bitsets) is checked
+against the full entrywise dominance compare, which shares no
+essential-set arithmetic with it.
 """
 
 import random
@@ -22,6 +24,7 @@ from invarr.perm import (
     Permutation,
     code_product,
     contains_pattern,
+    group_table,
     iter_words,
     lehmer_code,
     unrank_lex,
@@ -71,6 +74,29 @@ def test_every_column_matches_its_route_on_an_s8_sample():
         assert _column_values(8, rank) == _route_values(w), w.word
 
 
+def _check_bruhat_rows(n: int, ranks) -> None:
+    table = group_table(n)
+    bruhat = group_columns(n).bruhat
+    assert bruhat.shape == (factorial(n), n * (n - 1) // 2 + 1)
+    for rank in ranks:
+        below = (table.dom <= table.dom[rank]).all(axis=1)
+        lengths = np.bincount(table.inv[below], minlength=bruhat.shape[1])
+        assert int(bruhat[rank].sum()) == int(below.sum()), rank
+        assert bruhat[rank].tolist() == lengths.tolist(), rank
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bruhat_column_matches_the_full_dominance_compare_on_all_of_s_n(n):
+    _check_bruhat_rows(n, range(factorial(n)))
+
+
+def test_bruhat_column_matches_the_full_dominance_compare_on_an_s8_sample():
+    ranks = [0, factorial(8) - 1] + random.Random(S8_SAMPLE_SEED).sample(
+        range(1, factorial(8) - 1), 400
+    )
+    _check_bruhat_rows(8, ranks)
+
+
 def test_s8_catalan_avoiders_and_rk_equals_ao():
     columns = group_columns(8)
     avoids_231 = columns.avoids((PATTERN_231,))
@@ -101,12 +127,13 @@ def test_read_only_cached_and_bounded():
     for n in range(1, 8):
         columns = group_columns(n)
         assert group_columns(n) is columns
-        for name in ("code", "prod", "wk", "ao", "rk", "contains", "ferrers"):
+        for name in ("code", "prod", "wk", "bruhat", "ao", "rk", "contains", "ferrers"):
             array = getattr(columns, name)
             assert not array.flags.writeable, name
-            rows = array.shape[0] if name == "code" else array.shape[-1]
+            rows = array.shape[0] if name in ("code", "bruhat") else array.shape[-1]
             assert rows == factorial(n), name
         assert columns.code.dtype == np.uint8 and columns.contains.dtype == bool
+        assert columns.bruhat.dtype == np.uint16
         for name in ("prod", "wk", "ao", "rk"):
             assert getattr(columns, name).dtype == np.int32, name
     assert group_columns.cache_info().maxsize == 8
@@ -129,18 +156,26 @@ def test_a_sweep_reads_the_columns_and_calls_no_per_record_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-record route called during a sweep")
 
+    depths = ("counts", "polys")
+    expected = {
+        depth: tuple(verify.stat_record(Permutation(w), depth) for w in iter_words(5))
+        for depth in depths
+    }
     for owner, name in (
         (verify, "lehmer_code"),
         (verify, "code_product"),
         (verify, "contains_pattern"),
         (verify, "avoids_all"),
+        (verify, "_bulk_bruhat"),
         (arrangement, "count_acyclic_orientations"),
         (rook, "rook_count"),
         (rook, "is_right_justified_ferrers"),
     ):
         monkeypatch.setattr(owner, name, refuse)
-    report = verify.sweep(5, "counts", parallelism=1)
-    assert len(report.records) == 120 and report.violations == ()
+    for depth in depths:
+        report = verify.sweep(5, depth, parallelism=1)
+        assert len(report.records) == 120 and report.violations == ()
+        assert report.records == expected[depth], depth
 
 
 def test_weak_poly_at_one_equals_the_weak_column(sweep7_polys):

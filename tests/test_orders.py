@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import time
 from math import factorial
 
 import pytest
 
 from invarr.orders import (
+    MAX_WEAK_STATES,
     bruhat_interval,
     bruhat_interval_by_chains,
     bruhat_leq,
@@ -99,6 +101,18 @@ class TestWeakOrder:
     def test_cap(self):
         with pytest.raises(ValueError, match="n <= 12"):
             weak_interval(Permutation.longest(13))
+
+    def test_state_budget_refuses_before_the_search(self):
+        for n in (11, 12):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="over the budget"):
+                weak_interval(Permutation.longest(n))
+            assert time.perf_counter() - start < 0.010, n
+        # a word of S_11 with a small code product still runs
+        w = Permutation((3, 1, 2, 4, 5, 6, 7, 8, 11, 9, 10))
+        assert code_product(w) == 9 <= MAX_WEAK_STATES
+        summary = weak_interval(w)
+        assert summary.size == 9 and summary.poincare == product_q_formula(w)
 
 
 def _random_231_avoider(rng: random.Random, values: list[int]) -> list[int]:

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from invarr import perm, verify
+from invarr import orders, perm, verify
 from invarr.perm import (
     POINCARE_MATCH_PATTERNS,
     REGION_BRUHAT_EQUALITY_PATTERNS,
@@ -125,6 +125,22 @@ class TestStatRecord:
             assert calls.count((4, 2, 3, 1)) == 1, word
             assert record.avoids_four == avoids_all(w, REGION_BRUHAT_EQUALITY_PATTERNS)
             assert record.avoids_3412_4231 == avoids_all(w, POINCARE_MATCH_PATTERNS)
+
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_weak_filter_runs_once_per_record(self, monkeypatch, depth):
+        expected = verify.sweep(5, depth, parallelism=1).records
+        original = orders.weak_interval_by_filter
+        calls = []
+
+        def counting(w, *args, **kwargs):
+            calls.append(w.word)
+            return original(w, *args, **kwargs)
+
+        monkeypatch.setattr(orders, "weak_interval_by_filter", counting)
+        for word, swept in zip(iter_words(5), expected):
+            calls.clear()
+            assert verify.stat_record(Permutation(word), depth) == swept, word
+            assert calls == [word]
 
 
 class TestRecordChecks:
@@ -362,6 +378,7 @@ class TestOracleChecks:
             "orientation_column_vs_deletion_contraction",
             "rook_column_vs_backtracking",
             "pattern_columns_vs_backtracking",
+            "bruhat_column_vs_essential_filter",
         ]
         assert all(r.passed for r in results)
         assert all(r.n == 3 for r in results)
@@ -379,6 +396,7 @@ class TestOracleChecks:
         assert by_name["orientation_column_vs_deletion_contraction"] == 7
         assert by_name["rook_column_vs_backtracking"] == 6
         assert by_name["pattern_columns_vs_backtracking"] == 7
+        assert by_name["bruhat_column_vs_essential_filter"] == 7
         assert all(r.passed for r in results)
 
     def test_validation(self):
