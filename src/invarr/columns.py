@@ -8,8 +8,9 @@ orientation counts ao, the rook counts rk, the containment flags of the
 seven patterns of the paper's characterizations and the Ferrers flag of
 the south-west diagram.  A sweep reads its records' statistics from
 these columns; ``verify.stat_record`` keeps the per-record routes (the
-weak filter, the essential-set filter ``GroupTable.bruhat_below``,
-deletion-contraction, backtracking), and they are the columns' oracles.
+weak filter, the essential-set filter ``GroupTable.bruhat_below``, the
+chromatic polynomial from partitions into independent sets,
+backtracking), and they are the columns' oracles.
 Each column except Bruhat's comes from a recursion over the whole group
 that shares no arithmetic with those routes, so the checked relations
 rk = ao and wk <= prod keep their meaning:

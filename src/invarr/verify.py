@@ -26,10 +26,11 @@ ao by inclusion-exclusion over source sets (Stanley, Discrete Math. 5,
 1973), rk by one batched Ryser permanent and the pattern flags by
 one-letter deletion.  ``stat_record`` computes the same fields by the
 per-record routes (the weak filter, the essential-set filter
-``GroupTable.bruhat_below``, deletion-contraction, the Ryser permanent
-of one board, pattern backtracking); these, with backtracking rook
-search for rk, are the columns' oracles.  Both feed the one record
-assembly, ``_build_record``.
+``GroupTable.bruhat_below``, the chromatic polynomial from partitions
+into independent sets, the Ryser permanent of one board, pattern
+backtracking); these, with backtracking rook search for rk, are the
+columns' oracles.  Both feed the one record assembly,
+``_build_record``.
 
 The per-record routes and the regions read one cached table per n
 (``perm.group_table``): weak intervals select the rows whose inversion
@@ -617,7 +618,7 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
         g = arrangement.inversion_graph(w)
         fast = arrangement.count_acyclic_orientations(g)
         slow = arrangement.count_acyclic_orientations_by_enumeration(g)
-        return "" if fast == slow else f"deletion-contraction {fast} vs enumeration {slow}"
+        return "" if fast == slow else f"color partitions {fast} vs enumeration {slow}"
 
     def rook_body(_rank: int, w: Permutation) -> str:
         board = rook.southwest_diagram(w).complement()
@@ -649,7 +650,7 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
     def orientation_column_body(rank: int, w: Permutation) -> str:
         column = int(group_columns(w.n).ao[rank])
         route = arrangement.count_acyclic_orientations(arrangement.inversion_graph(w))
-        return "" if column == route else f"column {column} vs deletion-contraction {route}"
+        return "" if column == route else f"column {column} vs color partitions {route}"
 
     def rook_column_body(rank: int, w: Permutation) -> str:
         columns = group_columns(w.n)
@@ -674,12 +675,12 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
         return "" if column == route else f"column {column} vs essential filter {route}"
 
     run("bruhat_dominance_vs_chain_closure", 5, bruhat_body)
-    run("orientations_deletion_contraction_vs_enumeration", 5, orientation_body)
+    run("orientations_color_partitions_vs_enumeration", 5, orientation_body)
     run("rook_permanent_vs_backtracking", 6, rook_body)
     run("weak_bfs_vs_filter", 6, weak_body)
     run("regions_vs_acyclic_orientations", 6, region_body)
     run("weak_column_vs_filter", 7, weak_column_body)
-    run("orientation_column_vs_deletion_contraction", 7, orientation_column_body)
+    run("orientation_column_vs_color_partitions", 7, orientation_column_body)
     run("rook_column_vs_backtracking", 6, rook_column_body)
     run("pattern_columns_vs_backtracking", 7, pattern_column_body)
     run("bruhat_column_vs_essential_filter", 7, bruhat_column_body)

@@ -309,12 +309,12 @@ def test_criterion_12_oracle_equivalences():
     reached = {r.name: r.n for r in results}
     ok = ok and reached == {
         "bruhat_dominance_vs_chain_closure": 5,
-        "orientations_deletion_contraction_vs_enumeration": 5,
+        "orientations_color_partitions_vs_enumeration": 5,
         "rook_permanent_vs_backtracking": 6,
         "weak_bfs_vs_filter": 6,
         "regions_vs_acyclic_orientations": 6,
         "weak_column_vs_filter": 6,
-        "orientation_column_vs_deletion_contraction": 6,
+        "orientation_column_vs_color_partitions": 6,
         "rook_column_vs_backtracking": 6,
         "pattern_columns_vs_backtracking": 6,
         "bruhat_column_vs_essential_filter": 6,

@@ -28,6 +28,7 @@ from invarr.perm import (
     unrank_lex,
 )
 from invarr.qpoly import QPolynomial
+from invarr.rook import rook_count
 
 W25134 = Permutation((2, 5, 1, 3, 4))
 
@@ -92,6 +93,28 @@ class TestChromatic:
         with pytest.raises(ValueError, match="n <= 12"):
             chromatic_polynomial(_graph(13))
 
+    def test_matches_networkx_on_graphs_that_are_not_inversion_graphs(self):
+        # the public API takes any simple graph: compare every coefficient
+        # (at most 9 edges, as networkx's own expansion slows on dense graphs)
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(615)
+        checked = 0
+        while checked < 15:
+            n = rng.randint(1, 6)
+            possible = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+            m = rng.randint(0, min(9, len(possible)))
+            g = InversionGraph(n, frozenset(rng.sample(possible, m)))
+            if any(inversion_graph(Permutation(w)).edges == g.edges for w in iter_words(n)):
+                continue
+            graph = nx.Graph()
+            graph.add_nodes_from(range(1, n + 1))
+            graph.add_edges_from(g.edges)
+            chi = nx.chromatic_polynomial(graph)
+            (x,) = chi.free_symbols
+            expected = tuple(int(c) for c in reversed(chi.as_poly(x).all_coeffs()))
+            assert chromatic_polynomial(g) == expected, g.edges
+            checked += 1
+
     def test_memo_stays_under_its_cap_and_clearing_changes_nothing(self, monkeypatch):
         graphs = [inversion_graph(Permutation(w)) for w in iter_words(6)]
         monkeypatch.setattr(arrangement, "_CHROMATIC_MEMO", {})
@@ -140,6 +163,22 @@ class TestAcyclicOrientations:
             assert count_acyclic_orientations(g) == (
                 count_acyclic_orientations_by_enumeration(g)
             ), g.edges
+
+    def test_equals_rook_count_past_the_group_table(self):
+        # rk = ao by two independent routes at n = 9..12, beyond the
+        # whole-group columns; seeded, so the words are the same each run
+        rng = random.Random(912)
+        for n in range(9, 13):
+            words = [Permutation.identity(n), Permutation.longest(n)]
+            for _ in range(4):
+                word = list(range(1, n + 1))
+                rng.shuffle(word)
+                words.append(Permutation(tuple(word)))
+            for w in words:
+                assert count_acyclic_orientations(inversion_graph(w)) == rook_count(w), w
+            assert count_acyclic_orientations(
+                inversion_graph(Permutation.longest(n))
+            ) == factorial(n)
 
     def test_invariant_under_inverse(self):
         for n in range(1, 6):

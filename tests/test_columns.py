@@ -2,12 +2,12 @@
 
 Each column comes from a recursion that shares no arithmetic with the
 route ``stat_record`` uses: wk (Moebius recursion) against the weak
-filter, ao (source sets) against deletion-contraction, rk (batched
-Ryser) against backtracking rook search, the pattern flags (one-letter
-deletion) against pattern backtracking, and the Ferrers flag against the
-diagram test.  The Bruhat column (essential-set bitsets) is checked
-against the full entrywise dominance compare, which shares no
-essential-set arithmetic with it.
+filter, ao (source sets) against the chromatic polynomial from color
+partitions, rk (batched Ryser) against backtracking rook search, the
+pattern flags (one-letter deletion) against pattern backtracking, and
+the Ferrers flag against the diagram test.  The Bruhat column
+(essential-set bitsets) is checked against the full entrywise dominance
+compare, which shares no essential-set arithmetic with it.
 """
 
 import random

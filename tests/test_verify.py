@@ -370,12 +370,12 @@ class TestOracleChecks:
         results = verify.oracle_checks(3)
         assert [r.name for r in results] == [
             "bruhat_dominance_vs_chain_closure",
-            "orientations_deletion_contraction_vs_enumeration",
+            "orientations_color_partitions_vs_enumeration",
             "rook_permanent_vs_backtracking",
             "weak_bfs_vs_filter",
             "regions_vs_acyclic_orientations",
             "weak_column_vs_filter",
-            "orientation_column_vs_deletion_contraction",
+            "orientation_column_vs_color_partitions",
             "rook_column_vs_backtracking",
             "pattern_columns_vs_backtracking",
             "bruhat_column_vs_essential_filter",
@@ -388,12 +388,12 @@ class TestOracleChecks:
         results = verify.oracle_checks(9)
         by_name = {r.name: r.n for r in results}
         assert by_name["bruhat_dominance_vs_chain_closure"] == 5
-        assert by_name["orientations_deletion_contraction_vs_enumeration"] == 5
+        assert by_name["orientations_color_partitions_vs_enumeration"] == 5
         assert by_name["rook_permanent_vs_backtracking"] == 6
         assert by_name["weak_bfs_vs_filter"] == 6
         assert by_name["regions_vs_acyclic_orientations"] == 6
         assert by_name["weak_column_vs_filter"] == 7
-        assert by_name["orientation_column_vs_deletion_contraction"] == 7
+        assert by_name["orientation_column_vs_color_partitions"] == 7
         assert by_name["rook_column_vs_backtracking"] == 6
         assert by_name["pattern_columns_vs_backtracking"] == 7
         assert by_name["bruhat_column_vs_essential_filter"] == 7
