@@ -94,7 +94,8 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.n >= 8 and not args.long:
         print(
-            "error: a full n >= 8 sweep takes minutes; pass --long to confirm",
+            "error: a full n >= 8 sweep takes up to tens of seconds and writes "
+            "tens of MiB; pass --long to confirm",
             file=sys.stderr,
         )
         return 2
@@ -181,10 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallelism",
         type=int,
         default=None,
-        help="worker count (default: the CPUs this process may run on; one for n <= 5)",
+        help=(
+            "worker processes for the per-record routes of depths polys and "
+            "with_region_oracle (default: the CPUs this process may run on; "
+            "one for n <= 5); a counts sweep runs in process"
+        ),
     )
     p_sweep.add_argument(
-        "--long", action="store_true", help="confirm a multi-minute n >= 8 sweep"
+        "--long", action="store_true", help="confirm a full n >= 8 sweep"
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 

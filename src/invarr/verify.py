@@ -87,8 +87,10 @@ from .perm import (
 from .qpoly import QPolynomial
 
 DEPTHS = ("counts", "polys", "with_region_oracle")
-# Default sweeps of S_n up to here (at most 120 records) run in process:
-# forking and joining a pool costs more than the records do.
+# Default sweeps past depth counts of S_n up to here (at most 120 records)
+# run in process: forking and joining a pool costs more than their
+# per-record routes do.  A counts sweep reads every field from the
+# columns and runs in process at every n.
 MAX_IN_PROCESS_N = 5
 
 # 4231 is in both pattern bundles; stat_record tests it once.
@@ -459,10 +461,15 @@ def _available_cpus() -> int:
 def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> SweepReport:
     """Verify every statistic relation over all of S_n.
 
-    ``parallelism`` splits the lexicographic rank range into contiguous
-    blocks handled by forked workers; the merged report is byte-for-byte
-    identical regardless of the setting.  Defaults to the number of CPUs
-    this process may run on, or to one process for n <= 5.
+    ``parallelism`` is the number of worker processes for the per-record
+    routes (the weak filter's polynomial, ``product_q_formula`` and the
+    regions), which run at depths ``polys`` and ``with_region_oracle``:
+    the lexicographic rank range is split into contiguous blocks handled
+    by forked workers, and the merged report is byte-for-byte identical
+    regardless of the setting.  Defaults to the number of CPUs this
+    process may run on, or to one process for n <= 5.  A ``counts``
+    sweep reads every field from the whole-group columns and runs in the
+    calling process whatever ``parallelism`` says.
     """
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
@@ -476,7 +483,9 @@ def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> Swee
     group_columns(n)  # enforces n <= 8; built with the group table before forking
 
     total = factorial(n)
-    if parallelism is None:
+    if depth == "counts":
+        parallelism = 1
+    elif parallelism is None:
         parallelism = 1 if n <= MAX_IN_PROCESS_N else _available_cpus()
     parallelism = max(1, min(int(parallelism), total))
 

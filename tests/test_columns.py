@@ -10,13 +10,16 @@ the Ferrers flag against the diagram test.  The Bruhat column
 compare, which shares no essential-set arithmetic with it.
 """
 
+import gc
+import itertools
 import random
+import weakref
 from math import factorial
 
 import numpy as np
 import pytest
 
-from invarr import arrangement, cli, orders, rook, verify
+from invarr import arrangement, cli, columns, orders, rook, verify
 from invarr.columns import PATTERNS, group_columns
 from invarr.perm import (
     PATTERN_231,
@@ -182,3 +185,54 @@ def test_weak_poly_at_one_equals_the_weak_column(sweep7_polys):
     records = sweep7_polys.report.records
     assert len(records) == 5040
     assert all(r.weak_poly(1) == r.wk for r in records)
+
+
+def _lehmer_rank(word: tuple[int, ...]) -> int:
+    """sum of c_i (k - 1 - i)! over the Lehmer code of the standardized word."""
+    if not word:
+        return 0
+    standard = Permutation(tuple(sorted(word).index(a) + 1 for a in word))
+    k = len(word)
+    return sum(c * factorial(k - 1 - i) for i, c in enumerate(lehmer_code(standard)))
+
+
+def _check_lookup_ranks(n: int, words: list[tuple[int, ...]]) -> None:
+    tables = columns._rank_tables(n)
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for word in words:
+        by_length.setdefault(len(word), []).append(word)
+    for k, group in by_length.items():
+        array = np.array(group, dtype=np.int8).reshape(len(group), k)
+        ranks = columns._ranks(array, tables).tolist()
+        assert ranks == [_lehmer_rank(word) for word in group], (n, k)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lookup_ranks_match_lehmer_codes_on_every_injective_word(n):
+    letters = range(1, n + 1)
+    words = [w for k in range(n + 1) for w in itertools.permutations(letters, k)]
+    _check_lookup_ranks(n, words)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_lookup_ranks_match_lehmer_codes_on_seeded_draws(n):
+    rng = random.Random(S8_SAMPLE_SEED + n)
+    lengths = [k for k in range(n + 1) for _ in range(200)]
+    _check_lookup_ranks(n, [tuple(rng.sample(range(1, n + 1), k)) for k in lengths])
+
+
+def test_no_rank_table_outlives_the_column_build(monkeypatch):
+    build_tables = columns._rank_tables
+    built = []
+
+    def recording(n):
+        tables = build_tables(n)
+        built.extend(weakref.ref(table) for table in tables)
+        return tables
+
+    monkeypatch.setattr(columns, "_rank_tables", recording)
+    group_columns.cache_clear()
+    group_columns(8)
+    gc.collect()
+    assert len(built) == sum(n + 1 for n in range(1, 9))  # the tables of S1..S8
+    assert all(ref() is None for ref in built)

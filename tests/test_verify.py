@@ -282,7 +282,8 @@ class TestDefaultParallelism:
 
         monkeypatch.setattr(verify.multiprocessing, "get_context", no_fork)
         assert verify._available_cpus() == 1
-        report = verify.sweep(6)  # above MAX_IN_PROCESS_N, so the affinity decides
+        # above MAX_IN_PROCESS_N and past counts, so the affinity decides
+        report = verify.sweep(6, "polys")
         assert len(report.records) == 720
         assert report.violations == ()
 
@@ -298,7 +299,18 @@ class TestDefaultParallelism:
         assert len(report.records) == 24
         assert report.violations == ()
         with pytest.raises(AssertionError, match="forked"):
-            verify.sweep(4, parallelism=2)  # an explicit count still forks
+            verify.sweep(4, "polys", parallelism=2)  # an explicit count still forks
+
+    def test_counts_sweeps_start_no_pool(self, monkeypatch):
+        expected = {n: verify.emit_report(verify.sweep(n, parallelism=1)) for n in (6, 7)}
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a counts sweep forked a worker pool")
+
+        monkeypatch.setattr(verify.multiprocessing, "get_context", no_fork)
+        for n, workers in ((6, 4), (7, 2)):
+            report = verify.sweep(n, "counts", parallelism=workers)
+            assert verify.emit_report(report) == expected[n], n
 
     def test_core_count_where_affinity_is_unavailable(self, monkeypatch):
         monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
@@ -313,14 +325,17 @@ class TestDeterminism:
         assert a == b
 
     def test_parallelism_does_not_change_output(self):
-        reference = verify.emit_report(verify.sweep(5, parallelism=1))
-        for workers in (2, 3, 8):
-            assert verify.emit_report(verify.sweep(5, parallelism=workers)) == reference
+        for depth in ("counts", "polys"):  # polys forks, counts runs in process
+            reference = verify.emit_report(verify.sweep(5, depth, parallelism=1))
+            for workers in (2, 3, 8):
+                report = verify.sweep(5, depth, parallelism=workers)
+                assert verify.emit_report(report) == reference, (depth, workers)
 
     def test_parallelism_merges_class_counts(self):
-        serial = verify.sweep(5, parallelism=1)
-        forked = verify.sweep(5, parallelism=4)
-        assert serial.class_counts == forked.class_counts
+        for depth in ("counts", "polys"):
+            serial = verify.sweep(5, depth, parallelism=1)
+            forked = verify.sweep(5, depth, parallelism=4)
+            assert serial.class_counts == forked.class_counts, depth
 
 
 class TestEmitReport:
