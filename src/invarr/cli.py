@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a sweep finds violations or an oracle
 comparison fails, 2 on usage errors (bad arguments, malformed
-permutations, sizes over the supported caps).
+permutations, sizes over the supported caps) and when the report cannot
+be written.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    report = verify.sweep(args.n, depth=args.depth, parallelism=args.parallelism)
+    report = verify.sweep(args.n, depth=args.depth)
     payload = verify.emit_report(report, format=args.format)
     if args.output:
         Path(args.output).write_bytes(payload)
@@ -179,16 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
     p_sweep.add_argument("--output", help="write the report here instead of stdout")
     p_sweep.add_argument(
-        "--parallelism",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for the per-record routes of depths polys and "
-            "with_region_oracle (default: the CPUs this process may run on; "
-            "one for n <= 5); a counts sweep runs in process"
-        ),
-    )
-    p_sweep.add_argument(
         "--long", action="store_true", help="confirm a full n >= 8 sweep"
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
@@ -212,7 +203,7 @@ def run(argv: list[str]) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,25 +2,29 @@
 
 For n <= 8, ``group_columns(n)`` holds, row k for the word of
 lexicographic rank k (the rows of ``perm.group_table``), the Lehmer
-codes and code products, the weak interval sizes wk, the Bruhat
-interval sizes by length (whose row sums are br), the acyclic
-orientation counts ao, the rook counts rk, the containment flags of the
-seven patterns of the paper's characterizations and the Ferrers flag of
-the south-west diagram.  A sweep reads its records' statistics from
+codes and code products, the weak Poincare polynomials (whose row sums
+are wk), the Bruhat interval sizes by length (whose row sums are br),
+the acyclic orientation counts ao, the rook counts rk, the containment
+flags of the seven patterns of the paper's characterizations and the
+Ferrers flag of the south-west diagram.  The code product polynomials,
+the region distance enumerators and the region counts re, which only
+the sweep depths past ``counts`` read, are built on first use and
+cached with the rest.  A sweep reads every field of its records from
 these columns; ``verify.stat_record`` keeps the per-record routes (the
 weak filter, the essential-set filter ``GroupTable.bruhat_below``, the
 chromatic polynomial from partitions into independent sets,
-backtracking), and they are the columns' oracles.
-Each column except Bruhat's comes from a recursion over the whole group
-that shares no arithmetic with those routes, so the checked relations
-rk = ao and wk <= prod keep their meaning:
+backtracking, ``orders.product_q_formula``, the region sort), and they
+are the columns' oracles.  Each column except Bruhat's comes from a
+recursion over the whole group that shares no arithmetic with those
+routes, so the checked relations rk = ao, re = ao and wk <= prod keep
+their meaning:
 
-* wk by the Moebius recursion of left weak order (Bjoerner and Brenti,
-  *Combinatorics of Coxeter Groups*, GTM 231, 2005, section 3.2).
-  [e, w] minus {w} is the union of [e, sw] over the left descents s of
-  w, and the intersection of [e, sw] over s in J is [e, w0(J) w], so
-  wk(w) = 1 + sum over nonempty J in D_L(w) of (-1)^(|J|+1) wk(w0(J) w),
-  filled in by length.
+* the weak polynomials by the Moebius recursion of left weak order
+  (Bjoerner and Brenti, *Combinatorics of Coxeter Groups*, GTM 231,
+  2005, section 3.2).  [e, w] minus {w} is the union of [e, sw] over the
+  left descents s of w, and the intersection of [e, sw] over s in J is
+  [e, w0(J) w], so W(w) = q^inv(w) + sum over nonempty J in D_L(w) of
+  (-1)^(|J|+1) W(w0(J) w), filled in by length.
 * ao by inclusion-exclusion over source sets (Stanley, *Acyclic
   orientations of graphs*, Discrete Math. 5, 1973).  Every acyclic
   orientation has a nonempty independent set of sources, an independent
@@ -28,18 +32,28 @@ rk = ao and wk <= prod keep their meaning:
   it leaves the inversion graph of the standardized rest, so
   ao(w) = sum over nonempty increasing S of (-1)^(|S|+1) ao(std(w - S)),
   read from the columns of S_{<n}.
+* the distance enumerators by the same recursion graded by distance.
+  The regions are the acyclic orientations (Greene and Zaslavsky,
+  Trans. AMS 280, 1983), and D(w) = sum over nonempty increasing S of
+  (-1)^(|S|+1) q^x(S) D(std(w - S)), where x(S) counts the inverted
+  pairs (b, a), b < a, with a in S and b not.
+* the product polynomials prod [c_i + 1]_q by prefix sums along the
+  degree axis, one per code position.
+* re by gate count: re(w) = #{u : L(u) in I(w)}, L(u) the slots (i, j),
+  i < j, with u_i = u_j + 1.
 * rk by one batched Ryser permanent (``rook.permanents``) of the
   complements of the south-west diagrams.
 * containment of a pattern by one-letter deletion: for n > |p|, w
   contains p exactly when some standardized deletion of one letter of w
   does, read from the column of S_{n-1}.
 
-The wk, ao and pattern recursions read smaller or transformed words
-back from a column by their lexicographic rank.  A build looks the rank
-up in one uint16 table per word length k, keyed by the first
-min(k, n - 1) letters in base n (the letters are values in 1..n, so no
-standardization is needed) and filled from the distinct prefixes of the
-words of S_n; the tables are dropped when the build ends.
+The weak, ao, distance and pattern recursions read smaller or
+transformed words back from a column by their lexicographic rank.  A
+build looks the rank up in one uint16 table per word length k, keyed by
+the first min(k, n - 1) letters in base n (the letters are values in
+1..n, so no standardization is needed) and filled from the distinct
+prefixes of the words of S_n; the tables are dropped when the build
+ends.
 
 The Bruhat column evaluates the criterion of ``bruhat_below`` for every
 word at once: u <= w exactly when the dominance counts of u lie below
@@ -56,13 +70,18 @@ length segment at a time.
 ([1, 2, 2, 4, 4, 6], [1, 2, 1, 0])
 >>> str(PATTERNS[0]), columns.avoids(PATTERNS[:1]).tolist()
 ('231', [True, True, True, False, True, True])
+>>> columns.weak[3].tolist(), columns.product[3].tolist(), columns.distance[3].tolist()
+([1, 1, 1, 0], [1, 2, 1, 0], [1, 2, 1, 0])
+>>> columns.re.tolist()
+[1, 2, 2, 4, 4, 6]
 """
 
 from __future__ import annotations
 
+import itertools
 import mmap
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -84,6 +103,9 @@ _SHORT_POPCOUNT = popcounts(np.arange(1 << 16, dtype=np.uint32))
 # Words per AND pass of the Bruhat column: 256 rows of bitsets are 1.3 MB
 # at n = 8, and the whole index 3.0 MB.
 _BRUHAT_CHUNK = 256
+# Words per pass of the gate count: 512 rows of fits of the 4140 distinct
+# lower-wall sets of S_8 are 8.5 MB as uint32.
+_GATE_CHUNK = 512
 
 # The distinct patterns of the characterizations, one containment row each.
 PATTERNS: tuple[Permutation, ...] = tuple(
@@ -100,7 +122,8 @@ class GroupColumns:
     n: int
     code: np.ndarray  # (n!, n) uint8 Lehmer codes
     prod: np.ndarray  # (n!,) int32 code products
-    wk: np.ndarray  # (n!,) int32 weak interval sizes
+    weak: np.ndarray  # (n!, C(n, 2) + 1) uint16: [k, l] = #{u <=_L w_k : inv(u) = l}
+    wk: np.ndarray  # (n!,) int32 weak interval sizes, the row sums of weak
     bruhat: np.ndarray  # (n!, C(n, 2) + 1) uint16: [k, l] = #{u <= w_k : inv(u) = l}
     ao: np.ndarray  # (n!,) int32 acyclic orientations of the inversion graph
     rk: np.ndarray  # (n!,) int32 rook placements
@@ -111,6 +134,30 @@ class GroupColumns:
         """Rows containing none of ``patterns`` (each one of ``PATTERNS``)."""
         rows = [PATTERNS.index(p) for p in patterns]
         return ~self.contains[rows].any(axis=0)
+
+    # The columns only the depths past ``counts`` read, built on first use.
+
+    @cached_property
+    def product(self) -> np.ndarray:
+        """(n!, C(n, 2) + 1) uint16: the coefficients of prod [c_i + 1]_q."""
+        return _read_only(_product_polynomials(self.code).astype(np.uint16))
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        """(n!, C(n, 2) + 1) uint16: [k, l] = #{regions of w_k at distance l}."""
+        table = group_table(self.n)
+        distance = _orientation_counts(table.words, _rank_tables(self.n), table.masks)
+        return _read_only(distance.astype(np.uint16))
+
+    @cached_property
+    def re(self) -> np.ndarray:
+        """(n!,) int32 region counts of the inversion arrangements."""
+        return _read_only(_gate_counts(group_table(self.n)))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)  # every caller shares the cached arrays
+    return array
 
 
 def _lehmer_codes(words: np.ndarray) -> np.ndarray:
@@ -141,7 +188,8 @@ def _rank_tables(n: int) -> list[np.ndarray]:
     at n = 8, 7.3 MiB of it resident, and live for one column build.  Each
     is an anonymous mapping of its own, unmapped when the build drops it:
     freed through malloc, the two 4 MB tables raise glibc's mmap threshold,
-    and the workers of a later S8 ``polys`` sweep peaked 6-16 MiB higher.
+    and a later S8 ``polys`` sweep in the same process peaked 3.3 MiB
+    higher (250.3 against 246.9 MiB).
     """
     words = group_table(n).words
     tables = []
@@ -184,15 +232,18 @@ def _parabolic_longest(subset: int, n: int) -> np.ndarray:
     return table
 
 
-def _weak_sizes(words: np.ndarray, inv: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
-    """wk of every row by the Moebius recursion over left-descent subsets."""
+def _weak_polynomials(
+    words: np.ndarray, inv: np.ndarray, tables: list[np.ndarray]
+) -> np.ndarray:
+    """Weak Poincare polynomials of every row by the Moebius recursion over
+    left-descent subsets, as (n!, C(n, 2) + 1) coefficient rows."""
     n = words.shape[1]
     positions = np.argsort(words, axis=1)  # positions[:, v - 1]: where value v sits
     descents = np.zeros(len(words), dtype=np.uint8)
     for v in range(1, n):  # s_v is a left descent when v + 1 comes before v
         descents |= (positions[:, v] < positions[:, v - 1]).astype(np.uint8) << (v - 1)
     # per J: the rows with J in D_L(w) and the ranks of w0(J) w, both by length
-    levels = np.arange(int(inv.max()) + 2)
+    levels = np.arange(n * (n - 1) // 2 + 2)
     terms = []
     for subset in range(1, 1 << (n - 1)):
         rows = np.flatnonzero((descents & subset) == subset)
@@ -200,21 +251,38 @@ def _weak_sizes(words: np.ndarray, inv: np.ndarray, tables: list[np.ndarray]) ->
         targets = _ranks(_parabolic_longest(subset, n)[words[rows]], tables)
         bounds = np.searchsorted(inv[rows], levels).tolist()
         terms.append((rows, targets, bounds, 1 if subset.bit_count() % 2 else -1))
-    # every w0(J) w is shorter than w, so a level reads only finished levels
-    wk = np.ones(len(words), dtype=np.int32)
+    # every w0(J) w is shorter than w, so a level reads only finished
+    # levels, and only in the degrees below it
+    weak = np.zeros((len(words), len(levels) - 1), dtype=np.int32)
+    weak[np.arange(len(words)), inv] = 1
     for level in range(1, len(levels) - 1):
         for rows, targets, bounds, sign in terms:
             lo, hi = bounds[level], bounds[level + 1]
             if lo < hi:
-                wk[rows[lo:hi]] += sign * wk[targets[lo:hi]]
-    return wk
+                weak[rows[lo:hi], :level] += sign * weak[targets[lo:hi], :level]
+    return weak.astype(np.uint16)
 
 
-def _orientation_counts(words: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
-    """ao of every row by inclusion-exclusion over increasing source sets."""
+def _orientation_counts(
+    words: np.ndarray, tables: list[np.ndarray], masks: np.ndarray | None = None
+) -> np.ndarray:
+    """ao of every row by inclusion-exclusion over increasing source sets.
+
+    Given the rows' inversion masks, the recursion is graded by distance
+    and returns the (n!, C(n, 2) + 1) distance enumerators of the regions
+    instead: a source a in S lies above each neighbour b outside S, and
+    those edges with b < a separate the region from the base chamber.
+    """
     n = words.shape[1]
-    smaller = [np.ones(1, dtype=np.int32)] + [group_columns(k).ao for k in range(1, n)]
-    ao = np.zeros(len(words), dtype=np.int32)
+    if masks is None:
+        smaller = [np.ones(1, dtype=np.int32)] + [group_columns(k).ao for k in range(1, n)]
+        counts = np.zeros(len(words), dtype=np.int32)
+    else:
+        smaller = [np.ones((1, 1), dtype=np.int32)] + [
+            group_columns(k).distance.astype(np.int32) for k in range(1, n)
+        ]
+        counts = np.zeros((len(words), n * (n - 1) // 2 + 1), dtype=np.int32)
+    pairs = list(itertools.combinations(range(n), 2))
     for subset in range(1, 1 << n):
         chosen = [i for i in range(n) if subset >> i & 1]
         rest = [i for i in range(n) if not subset >> i & 1]
@@ -223,8 +291,62 @@ def _orientation_counts(words: np.ndarray, tables: list[np.ndarray]) -> np.ndarr
             increasing &= words[:, a] < words[:, b]
         rows = np.flatnonzero(increasing)
         sign = 1 if len(chosen) % 2 else -1
-        ao[rows] += sign * smaller[len(rest)][_ranks(words[np.ix_(rows, rest)], tables)]
-    return ao
+        below = sign * smaller[len(rest)][_ranks(words[np.ix_(rows, rest)], tables)]
+        if masks is None:
+            counts[rows] += below
+            continue
+        # the slots (b, a), b < a, a in S, b not in S, grouped by how many
+        # of them are edges, so that each shift is one slice
+        across = sum(1 << t for t, (b, a) in enumerate(pairs) if a in chosen and b in rest)
+        shifts = popcounts(masks[rows] & np.uint32(across))
+        order = np.argsort(shifts, kind="stable")
+        rows, below = rows[order], below[order]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(shifts)))).tolist()
+        for shift, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if lo < hi:
+                counts[rows[lo:hi], shift : shift + below.shape[1]] += below[lo:hi]
+    return counts
+
+
+def _product_polynomials(code: np.ndarray) -> np.ndarray:
+    """(n!, C(n, 2) + 1) coefficient rows of the products of [c_i + 1]_q.
+
+    Multiplying by [c + 1]_q = (1 - q^(c + 1)) / (1 - q) is a prefix sum
+    along the degree axis minus the same sum shifted by c + 1.
+    """
+    m, n = code.shape
+    degrees = np.arange(n * (n - 1) // 2 + 1)
+    product = np.zeros((m, len(degrees) + 1), dtype=np.int32)  # column 0 stays 0
+    product[:, 1] = 1
+    for i in range(n - 1):
+        prefix = np.cumsum(product, axis=1)
+        start = np.maximum(degrees - code[:, i, None], 0)  # degree d - c, floored at 0
+        product[:, 1:] = prefix[:, 1:] - np.take_along_axis(prefix, start, axis=1)
+    return product[:, 1:]
+
+
+def _gate_counts(table: GroupTable) -> np.ndarray:
+    """re of every row: the chambers u whose lower walls L(u) lie in I(w).
+
+    L(u) holds the slots (i, j), i < j, with u_i = u_j + 1: the walls
+    between the chamber of u and the chambers below it in weak order.
+    Each region of the arrangement of I(w) has exactly one such chamber,
+    its gate.  L takes Bell(n) distinct values, so the count is one
+    product of the fits of the distinct walls with their multiplicities,
+    in float32, exact for sums below 2^24.
+    """
+    n, words = table.n, table.words
+    lower = np.zeros(len(words), dtype=np.uint32)
+    for slot, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        lower |= (words[:, i] == words[:, j] + 1).astype(np.uint32) << np.uint32(slot)
+    walls, sizes = np.unique(lower, return_counts=True)
+    weights = sizes.astype(np.float32)
+    outside = ~table.masks
+    counts = np.empty(len(words), dtype=np.float32)
+    for lo in range(0, len(words), _GATE_CHUNK):
+        fits = (walls & outside[lo : lo + _GATE_CHUNK, None]) == 0
+        counts[lo : lo + _GATE_CHUNK] = fits @ weights
+    return counts.astype(np.int32)
 
 
 def _containment(words: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
@@ -345,14 +467,15 @@ def group_columns(n: int) -> GroupColumns:
     rk = permanents(diagram ^ np.uint16((1 << n) - 1)).astype(np.int32)
     bruhat = _bruhat_counts(table)  # before the rank tables: they never share a peak
     tables = _rank_tables(n)
-    wk = _weak_sizes(words, table.inv, tables)
+    weak = _weak_polynomials(words, table.inv, tables)
     ao = _orientation_counts(words, tables)
     contains = _containment(words, tables)
     columns = GroupColumns(
         n=n,
         code=code,
         prod=prod,
-        wk=wk,
+        weak=weak,
+        wk=weak.sum(axis=1, dtype=np.int32),
         bruhat=bruhat,
         ao=ao,
         rk=rk,
@@ -362,6 +485,7 @@ def group_columns(n: int) -> GroupColumns:
     for array in (
         columns.code,
         columns.prod,
+        columns.weak,
         columns.wk,
         columns.bruhat,
         columns.ao,
@@ -369,5 +493,5 @@ def group_columns(n: int) -> GroupColumns:
         columns.contains,
         columns.ferrers,
     ):
-        array.setflags(write=False)  # every caller shares the cached arrays
+        _read_only(array)
     return columns

@@ -16,35 +16,35 @@ pattern-characterized equality among the statistics is checked on every
 record; violations are collected with their full records, and empirical
 class counts summarize the sweep.
 
-A sweep reads code, prod, wk, br, ao, rk, the pattern flags, the
-Ferrers flag and the Bruhat length counts of every record from the
-whole-group columns of S_n (``columns.group_columns``): wk by the
-Moebius recursion of weak order over left-descent subsets (Bjoerner and
-Brenti, GTM 231, section 3.2), br and its length counts by Fulton's
-essential-set criterion evaluated for the whole group on packed bitsets,
-ao by inclusion-exclusion over source sets (Stanley, Discrete Math. 5,
-1973), rk by one batched Ryser permanent and the pattern flags by
-one-letter deletion.  ``stat_record`` computes the same fields by the
-per-record routes (the weak filter, the essential-set filter
-``GroupTable.bruhat_below``, the chromatic polynomial from partitions
-into independent sets, the Ryser permanent of one board, pattern
-backtracking); these, with backtracking rook search for rk, are the
-columns' oracles.  Both feed the one record assembly,
-``_build_record``.
+A sweep runs in the calling process and reads every field of every
+record, at every depth, from the whole-group columns of S_n
+(``columns.group_columns``): the weak Poincare polynomials (whose row
+sums are wk) by the Moebius recursion of weak order over left-descent
+subsets (Bjoerner and Brenti, GTM 231, section 3.2), br and the Bruhat
+length counts by Fulton's essential-set criterion evaluated for the
+whole group on packed bitsets, ao by inclusion-exclusion over source
+sets (Stanley, Discrete Math. 5, 1973) and the distance enumerators by
+the same recursion graded by distance, rk by one batched Ryser
+permanent, the pattern flags by one-letter deletion, the product
+polynomials by prefix sums over the Lehmer codes, and re by counting
+the gate chambers of the regions.  ``stat_record`` computes the same
+fields by the per-record routes (the weak filter, the essential-set
+filter ``GroupTable.bruhat_below``, the chromatic polynomial from
+partitions into independent sets, the Ryser permanent of one board,
+pattern backtracking, ``orders.product_q_formula`` and the region
+sort); these, with backtracking rook search for rk, are the columns'
+oracles.  Both feed the one record assembly, ``_build_record``.
 
 The per-record routes and the regions read one cached table per n
 (``perm.group_table``): weak intervals select the rows whose inversion
 mask lies inside I(w), Bruhat intervals the rows whose dominance counts
 R_u[i][j] = #{a <= i : u_a >= j} lie below R_w, compared only on the
 cells of Fulton's essential set of w0 w (Duke Math. J. 65, 1992), and
-regions are the distinct restrictions of the masks to I(w).  The table
-and the columns are built once per n, before any worker forks.  The
-weak Poincare polynomial has no column: at depths past ``counts`` every
-record gets it from the weak filter, once.
+regions are the distinct restrictions of the masks to I(w).
 
 At depths ``polys`` and ``with_region_oracle`` every record gets its
-regions and their distance enumerator; only ``with_region_oracle`` also
-reports the region count ``re``.
+four polynomials; only ``with_region_oracle`` also reports the region
+count ``re``.
 
 >>> report = sweep(3, depth="with_region_oracle")
 >>> [r.wk for r in report.records]
@@ -59,11 +59,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
-import os
 from dataclasses import dataclass
-from math import factorial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -87,11 +84,6 @@ from .perm import (
 from .qpoly import QPolynomial
 
 DEPTHS = ("counts", "polys", "with_region_oracle")
-# Default sweeps past depth counts of S_n up to here (at most 120 records)
-# run in process: forking and joining a pool costs more than their
-# per-record routes do.  A counts sweep reads every field from the
-# columns and runs in process at every n.
-MAX_IN_PROCESS_N = 5
 
 # 4231 is in both pattern bundles; stat_record tests it once.
 _PATTERN_4231 = Permutation((4, 2, 3, 1))
@@ -185,7 +177,8 @@ class OracleCheckResult:
 class _Row(NamedTuple):
     """The fields of a record that come from the group columns in a sweep
     (``_column_rows``) and from the per-record routes in ``stat_record``
-    (``_route_row``); the two polynomials are None at depth ``counts``."""
+    (``_route_row``); the polynomials are None at depth ``counts`` and
+    re is None below depth ``with_region_oracle``."""
 
     code: tuple[int, ...]
     prod: int
@@ -200,46 +193,44 @@ class _Row(NamedTuple):
     ferrers: bool
     weak_poly: QPolynomial | None
     bruhat_poly: QPolynomial | None
+    product_poly: QPolynomial | None
+    distance_poly: QPolynomial | None
+    re: int | None
 
 
-def _column_rows(n: int, depth: str, lo: int, hi: int) -> list[_Row]:
-    """The rows of lexicographic ranks lo..hi - 1, read from ``group_columns(n)``.
-
-    No column holds the weak polynomial: past depth ``counts`` each row
-    gets it from the weak filter, as in ``stat_record``.
-    """
+def _column_rows(n: int, depth: str) -> Iterator[_Row]:
+    """The rows of every word of S_n in lexicographic order, read from
+    ``group_columns(n)``; a ``counts`` sweep reads no polynomial column."""
     from .columns import group_columns
 
     columns = group_columns(n)
-    part = slice(lo, hi)
-    bruhat = columns.bruhat[part]
+    absent = itertools.repeat(None)
+    polys = [absent] * 4
+    if depth != "counts":
+        polys = [
+            map(QPolynomial, column.tolist())
+            for column in (columns.weak, columns.bruhat, columns.product, columns.distance)
+        ]
+    re_counts = columns.re.tolist() if depth == "with_region_oracle" else absent
 
     def avoiding(patterns: tuple[Permutation, ...]) -> list[bool]:
-        return columns.avoids(patterns)[part].tolist()
+        return columns.avoids(patterns).tolist()
 
-    if depth == "counts":
-        weak_polys = bruhat_polys = itertools.repeat(None)
-    else:
-        words = itertools.islice(iter_words(n), lo, hi)
-        weak_polys = (orders.weak_interval_by_filter(Permutation(w)).poincare for w in words)
-        bruhat_polys = map(QPolynomial, bruhat.tolist())
-    return list(
-        map(
-            _Row,
-            map(tuple, columns.code[part].tolist()),
-            columns.prod[part].tolist(),
-            columns.wk[part].tolist(),
-            bruhat.sum(axis=1).tolist(),
-            columns.ao[part].tolist(),
-            columns.rk[part].tolist(),
-            avoiding((PATTERN_231,)),
-            avoiding((PATTERN_312,)),
-            avoiding(REGION_BRUHAT_EQUALITY_PATTERNS),
-            avoiding(POINCARE_MATCH_PATTERNS),
-            columns.ferrers[part].tolist(),
-            weak_polys,
-            bruhat_polys,
-        )
+    return map(
+        _Row,
+        map(tuple, columns.code.tolist()),
+        columns.prod.tolist(),
+        columns.wk.tolist(),
+        columns.bruhat.sum(axis=1).tolist(),
+        columns.ao.tolist(),
+        columns.rk.tolist(),
+        avoiding((PATTERN_231,)),
+        avoiding((PATTERN_312,)),
+        avoiding(REGION_BRUHAT_EQUALITY_PATTERNS),
+        avoiding(POINCARE_MATCH_PATTERNS),
+        columns.ferrers.tolist(),
+        *polys,
+        re_counts,
     )
 
 
@@ -251,6 +242,13 @@ def _route_row(w: Permutation, depth: str) -> _Row:
     weak = orders.weak_interval_by_filter(w)
     br, bruhat_poly = _bulk_bruhat(w.word, tables, want_polys)
     avoids_4231 = not contains_pattern(w, _PATTERN_4231)
+    product_poly = distance_poly = re_count = None
+    if want_polys:
+        product_poly = orders.product_q_formula(w)
+        region_set = arrangement.regions(w)
+        distance_poly = arrangement.distance_of_regions(region_set)
+        if depth == "with_region_oracle":
+            re_count = region_set.size
     return _Row(
         code=code,
         prod=code_product(w),
@@ -265,6 +263,9 @@ def _route_row(w: Permutation, depth: str) -> _Row:
         ferrers=rook.is_right_justified_ferrers(rook.southwest_diagram(w)),
         weak_poly=weak.poincare if want_polys else None,
         bruhat_poly=bruhat_poly,
+        product_poly=product_poly,
+        distance_poly=distance_poly,
+        re=re_count,
     )
 
 
@@ -276,17 +277,8 @@ def _bulk_bruhat(word: Word, tables: GroupTable, want_poly: bool):
     return size, length_polynomial(tables.inv[below])
 
 
-def _build_record(word: Word, depth: str, row: _Row) -> tuple[StatRecord, dict]:
-    re_count: int | None = None
-    product_poly = distance_poly = None
-    if depth != "counts":
-        w = Permutation(word)
-        product_poly = orders.product_q_formula(w)
-        region_set = arrangement.regions(w)
-        distance_poly = arrangement.distance_of_regions(region_set)
-        if depth == "with_region_oracle":
-            re_count = region_set.size
-
+def _build_record(word: Word, row: _Row) -> tuple[StatRecord, dict]:
+    """The record of ``word`` and the flags its checks read besides it."""
     record = StatRecord(
         w=word,
         inv=sum(row.code),
@@ -296,14 +288,14 @@ def _build_record(word: Word, depth: str, row: _Row) -> tuple[StatRecord, dict]:
         br=row.br,
         ao=row.ao,
         rk=row.rk,
-        re=re_count,
+        re=row.re,
         avoids_231_312=row.avoids_231 and row.avoids_312,
         avoids_four=row.avoids_four,
         avoids_3412_4231=row.avoids_3412_4231,
         weak_poly=row.weak_poly,
         bruhat_poly=row.bruhat_poly,
-        product_poly=product_poly,
-        distance_poly=distance_poly,
+        product_poly=row.product_poly,
+        distance_poly=row.distance_poly,
     )
     flags = {"avoids_231": row.avoids_231, "avoids_312": row.avoids_312, "ferrers": row.ferrers}
     return record, flags
@@ -421,21 +413,30 @@ def stat_record(w: Permutation, depth: str = "counts") -> StatRecord:
     """
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
-    record, _ = _build_record(w.word, depth, _route_row(w, depth))
+    record, _ = _build_record(w.word, _route_row(w, depth))
     return record
 
 
-def _sweep_block(
-    n: int, depth: str, lo: int, hi: int
-) -> tuple[list[StatRecord], list[dict], dict[str, int]]:
+def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> SweepReport:
+    """Verify every statistic relation over all of S_n, in the calling process.
+
+    Every field of every record is read from the whole-group columns of
+    S_n, at every depth.  ``parallelism`` is accepted and ignored: sweeps
+    run no worker processes, and the keyword stays only for callers
+    written against the former worker pool.
+    """
+    if depth not in DEPTHS:
+        raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     records: list[StatRecord] = []
     violations: list[dict] = []
-    counts = _fresh_class_counts(depth)
-    words = itertools.islice(iter_words(n), lo, hi)
-    for rank, word, row in zip(range(lo, hi), words, _column_rows(n, depth, lo, hi)):
-        record, flags = _build_record(word, depth, row)
+    class_counts = _fresh_class_counts(depth)
+    rows = _column_rows(n, depth)  # enforces n <= 8
+    for rank, (word, row) in enumerate(zip(iter_words(n), rows)):
+        record, flags = _build_record(word, row)
         records.append(record)
-        _update_class_counts(counts, record, flags)
+        _update_class_counts(class_counts, record, flags)
         for name, ok, detail in _record_checks(record, flags):
             if not ok:
                 violations.append(
@@ -447,69 +448,6 @@ def _sweep_block(
                         "record": record.to_json_dict(),
                     }
                 )
-    return records, violations, counts
-
-
-def _available_cpus() -> int:
-    """CPUs in this process's affinity mask; the core count where that is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> SweepReport:
-    """Verify every statistic relation over all of S_n.
-
-    ``parallelism`` is the number of worker processes for the per-record
-    routes (the weak filter's polynomial, ``product_q_formula`` and the
-    regions), which run at depths ``polys`` and ``with_region_oracle``:
-    the lexicographic rank range is split into contiguous blocks handled
-    by forked workers, and the merged report is byte-for-byte identical
-    regardless of the setting.  Defaults to the number of CPUs this
-    process may run on, or to one process for n <= 5.  A ``counts``
-    sweep reads every field from the whole-group columns and runs in the
-    calling process whatever ``parallelism`` says.
-    """
-    if depth not in DEPTHS:
-        raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    # Imported by the sweeps alone: stat_record and the CLI never read the
-    # columns, and an interpreter that caches no bytecode compiles every
-    # module it imports.
-    from .columns import group_columns
-
-    group_columns(n)  # enforces n <= 8; built with the group table before forking
-
-    total = factorial(n)
-    if depth == "counts":
-        parallelism = 1
-    elif parallelism is None:
-        parallelism = 1 if n <= MAX_IN_PROCESS_N else _available_cpus()
-    parallelism = max(1, min(int(parallelism), total))
-
-    bounds = [total * b // parallelism for b in range(parallelism + 1)]
-    blocks = [(n, depth, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if len(blocks) == 1:
-        parts = [_sweep_block(*blocks[0])]
-    else:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            parts = [_sweep_block(*block) for block in blocks]
-        else:
-            with context.Pool(processes=len(blocks)) as pool:
-                parts = pool.starmap(_sweep_block, blocks)
-
-    records: list[StatRecord] = []
-    violations: list[dict] = []
-    class_counts = _fresh_class_counts(depth)
-    for part_records, part_violations, part_counts in parts:
-        records.extend(part_records)
-        violations.extend(part_violations)
-        for key, value in part_counts.items():
-            class_counts[key] += value
     return SweepReport(
         n=n,
         depth=depth,
@@ -652,9 +590,24 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
         return "" if re_count == ao else f"regions {re_count} vs orientations {ao}"
 
     def weak_column_body(rank: int, w: Permutation) -> str:
-        column = int(group_columns(w.n).wk[rank])
-        route = orders.weak_interval_by_filter(w).size
+        column = QPolynomial(group_columns(w.n).weak[rank].tolist())
+        route = orders.weak_interval_by_filter(w).poincare
         return "" if column == route else f"column {column} vs filter {route}"
+
+    def product_column_body(rank: int, w: Permutation) -> str:
+        column = QPolynomial(group_columns(w.n).product[rank].tolist())
+        route = orders.product_q_formula(w)
+        return "" if column == route else f"column {column} vs product formula {route}"
+
+    def distance_column_body(rank: int, w: Permutation) -> str:
+        column = QPolynomial(group_columns(w.n).distance[rank].tolist())
+        route = arrangement.distance_of_regions(arrangement.regions(w))
+        return "" if column == route else f"column {column} vs region sort {route}"
+
+    def region_column_body(rank: int, w: Permutation) -> str:
+        column = int(group_columns(w.n).re[rank])
+        route = arrangement.regions(w).size
+        return "" if column == route else f"column {column} vs region sort {route}"
 
     def orientation_column_body(rank: int, w: Permutation) -> str:
         column = int(group_columns(w.n).ao[rank])
@@ -693,4 +646,7 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
     run("rook_column_vs_backtracking", 6, rook_column_body)
     run("pattern_columns_vs_backtracking", 7, pattern_column_body)
     run("bruhat_column_vs_essential_filter", 7, bruhat_column_body)
+    run("product_column_vs_product_formula", 7, product_column_body)
+    run("distance_column_vs_region_sort", 7, distance_column_body)
+    run("region_column_vs_region_sort", 7, region_column_body)
     return results

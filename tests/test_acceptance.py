@@ -318,6 +318,9 @@ def test_criterion_12_oracle_equivalences():
         "rook_column_vs_backtracking": 6,
         "pattern_columns_vs_backtracking": 6,
         "bruhat_column_vs_essential_filter": 6,
+        "product_column_vs_product_formula": 6,
+        "distance_column_vs_region_sort": 6,
+        "region_column_vs_region_sort": 6,
     }
     rng = random.Random(20260819)
     graphs = 0

@@ -45,17 +45,16 @@ def test_wrapped_names_run_and_are_restored():
 
     assert record.re == record.ao and report.violations == ()
     spans = tracer.summary(1.0)["spans"]
-    for name in (
-        "verify.record",
-        "arrangement.regions",
-        "arrangement.distance_of_regions",
-        "verify.checks",
-    ):
+    for name in ("verify.record", "verify.checks"):
         assert spans[name]["calls"] >= 7, name
+    # the sweep reads the distance and region columns: only the
+    # stat_record sorts regions
+    for name in ("arrangement.regions", "arrangement.distance_of_regions"):
+        assert spans[name]["calls"] == 1, name
     assert "orders.weak_interval" not in spans  # records read the group table
     # the sweep reads br and bruhat_poly from the Bruhat column: only the
     # stat_record scans the table
     assert spans["verify.bruhat_table"]["calls"] == 1
     assert tracer.counters["bruhat_rows"] == factorial(8)
-    assert tracer.counters["region_masks"] == factorial(8) + 6 * factorial(3)
+    assert tracer.counters["region_masks"] == factorial(8)
     assert len(arrangement._CHROMATIC_MEMO) > 0

@@ -1,11 +1,14 @@
 """The whole-group statistic columns against the per-record routes.
 
 Each column comes from a recursion that shares no arithmetic with the
-route ``stat_record`` uses: wk (Moebius recursion) against the weak
-filter, ao (source sets) against the chromatic polynomial from color
-partitions, rk (batched Ryser) against backtracking rook search, the
-pattern flags (one-letter deletion) against pattern backtracking, and
-the Ferrers flag against the diagram test.  The Bruhat column
+route ``stat_record`` uses: the weak polynomials (Moebius recursion)
+against the weak filter, ao (source sets) against the chromatic
+polynomial from color partitions, rk (batched Ryser) against
+backtracking rook search, the pattern flags (one-letter deletion)
+against pattern backtracking, the Ferrers flag against the diagram
+test, the product polynomials (prefix sums) against
+``product_q_formula``, and the distance enumerators (graded source sets)
+and re (gate count) against the region sort.  The Bruhat column
 (essential-set bitsets) is checked against the full entrywise dominance
 compare, which shares no essential-set arithmetic with it.
 """
@@ -32,20 +35,27 @@ from invarr.perm import (
     lehmer_code,
     unrank_lex,
 )
+from invarr.qpoly import QPolynomial
 
 S8_SAMPLE_SEED = 20261018
 
 
 def _route_values(w: Permutation) -> tuple:
     diagram = rook.southwest_diagram(w)
+    weak = orders.weak_interval_by_filter(w)
+    regions = arrangement.regions(w)
     return (
         lehmer_code(w),
         code_product(w),
-        orders.weak_interval_by_filter(w).size,
+        weak.size,
         arrangement.count_acyclic_orientations(arrangement.inversion_graph(w)),
         rook.count_rook_placements_by_backtracking(diagram.complement()),
         tuple(contains_pattern(w, p) for p in PATTERNS),
         rook.is_right_justified_ferrers(diagram),
+        weak.poincare,
+        orders.product_q_formula(w),
+        arrangement.distance_of_regions(regions),
+        regions.size,
     )
 
 
@@ -59,6 +69,10 @@ def _column_values(n: int, rank: int) -> tuple:
         int(columns.rk[rank]),
         tuple(columns.contains[:, rank].tolist()),
         bool(columns.ferrers[rank]),
+        QPolynomial(columns.weak[rank].tolist()),
+        QPolynomial(columns.product[rank].tolist()),
+        QPolynomial(columns.distance[rank].tolist()),
+        int(columns.re[rank]),
     )
 
 
@@ -130,14 +144,19 @@ def test_read_only_cached_and_bounded():
     for n in range(1, 8):
         columns = group_columns(n)
         assert group_columns(n) is columns
-        for name in ("code", "prod", "wk", "bruhat", "ao", "rk", "contains", "ferrers"):
+        polynomials = ("weak", "bruhat", "product", "distance")
+        for name in polynomials + ("code", "prod", "wk", "ao", "rk", "re", "contains", "ferrers"):
             array = getattr(columns, name)
+            assert getattr(columns, name) is array, name
             assert not array.flags.writeable, name
-            rows = array.shape[0] if name in ("code", "bruhat") else array.shape[-1]
+            rows = array.shape[0] if name in polynomials + ("code",) else array.shape[-1]
             assert rows == factorial(n), name
         assert columns.code.dtype == np.uint8 and columns.contains.dtype == bool
-        assert columns.bruhat.dtype == np.uint16
-        for name in ("prod", "wk", "ao", "rk"):
+        for name in polynomials:
+            array = getattr(columns, name)
+            assert array.shape[1] == n * (n - 1) // 2 + 1, name
+            assert array.dtype == np.uint16, name
+        for name in ("prod", "wk", "ao", "rk", "re"):
             assert getattr(columns, name).dtype == np.int32, name
     assert group_columns.cache_info().maxsize == 8
     for n in (0, 9):
@@ -159,10 +178,9 @@ def test_a_sweep_reads_the_columns_and_calls_no_per_record_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-record route called during a sweep")
 
-    depths = ("counts", "polys")
     expected = {
         depth: tuple(verify.stat_record(Permutation(w), depth) for w in iter_words(5))
-        for depth in depths
+        for depth in verify.DEPTHS
     }
     for owner, name in (
         (verify, "lehmer_code"),
@@ -170,13 +188,17 @@ def test_a_sweep_reads_the_columns_and_calls_no_per_record_route(monkeypatch):
         (verify, "contains_pattern"),
         (verify, "avoids_all"),
         (verify, "_bulk_bruhat"),
+        (orders, "weak_interval_by_filter"),
+        (orders, "product_q_formula"),
         (arrangement, "count_acyclic_orientations"),
+        (arrangement, "regions"),
+        (arrangement, "distance_of_regions"),
         (rook, "rook_count"),
         (rook, "is_right_justified_ferrers"),
     ):
         monkeypatch.setattr(owner, name, refuse)
-    for depth in depths:
-        report = verify.sweep(5, depth, parallelism=1)
+    for depth in verify.DEPTHS:
+        report = verify.sweep(5, depth)
         assert len(report.records) == 120 and report.violations == ()
         assert report.records == expected[depth], depth
 
@@ -219,6 +241,17 @@ def test_lookup_ranks_match_lehmer_codes_on_seeded_draws(n):
     rng = random.Random(S8_SAMPLE_SEED + n)
     lengths = [k for k in range(n + 1) for _ in range(200)]
     _check_lookup_ranks(n, [tuple(rng.sample(range(1, n + 1), k)) for k in lengths])
+
+
+def test_only_the_depths_past_counts_build_their_columns():
+    lazy = {"product", "distance", "re"}
+    group_columns.cache_clear()
+    verify.sweep(6)
+    assert not lazy & set(vars(group_columns(6)))
+    verify.sweep(6, "polys")
+    assert lazy & set(vars(group_columns(6))) == {"product", "distance"}
+    verify.sweep(6, "with_region_oracle")
+    assert lazy <= set(vars(group_columns(6)))
 
 
 def test_no_rank_table_outlives_the_column_build(monkeypatch):

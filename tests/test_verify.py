@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 from math import factorial
 
 import pytest
@@ -128,7 +129,7 @@ class TestStatRecord:
 
     @pytest.mark.parametrize("depth", verify.DEPTHS)
     def test_weak_filter_runs_once_per_record(self, monkeypatch, depth):
-        expected = verify.sweep(5, depth, parallelism=1).records
+        expected = verify.sweep(5, depth).records
         original = orders.weak_interval_by_filter
         calls = []
 
@@ -272,70 +273,20 @@ class TestSweep:
             verify.sweep(9)
 
 
-class TestDefaultParallelism:
-    def test_one_cpu_in_the_affinity_mask_forks_no_pool(self, monkeypatch):
-        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
-
-        def no_fork(*args, **kwargs):
-            raise AssertionError("a sweep on one CPU forked a worker pool")
-
-        monkeypatch.setattr(verify.multiprocessing, "get_context", no_fork)
-        assert verify._available_cpus() == 1
-        # above MAX_IN_PROCESS_N and past counts, so the affinity decides
-        report = verify.sweep(6, "polys")
-        assert len(report.records) == 720
-        assert report.violations == ()
-
-    def test_small_n_runs_in_process(self, monkeypatch):
-        four_cpus = lambda pid: {0, 1, 2, 3}  # noqa: E731
-        monkeypatch.setattr(verify.os, "sched_getaffinity", four_cpus, raising=False)
-
-        def no_fork(*args, **kwargs):
-            raise AssertionError("a default sweep of S_4 forked a worker pool")
-
-        monkeypatch.setattr(verify.multiprocessing, "get_context", no_fork)
-        report = verify.sweep(4)
-        assert len(report.records) == 24
-        assert report.violations == ()
-        with pytest.raises(AssertionError, match="forked"):
-            verify.sweep(4, "polys", parallelism=2)  # an explicit count still forks
-
-    def test_counts_sweeps_start_no_pool(self, monkeypatch):
-        expected = {n: verify.emit_report(verify.sweep(n, parallelism=1)) for n in (6, 7)}
-
-        def no_fork(*args, **kwargs):
-            raise AssertionError("a counts sweep forked a worker pool")
-
-        monkeypatch.setattr(verify.multiprocessing, "get_context", no_fork)
-        for n, workers in ((6, 4), (7, 2)):
-            report = verify.sweep(n, "counts", parallelism=workers)
-            assert verify.emit_report(report) == expected[n], n
-
-    def test_core_count_where_affinity_is_unavailable(self, monkeypatch):
-        monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
-        assert verify._available_cpus() == 3
-
-
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self):
         a = verify.emit_report(verify.sweep(4, depth="polys"))
         b = verify.emit_report(verify.sweep(4, depth="polys"))
         assert a == b
 
-    def test_parallelism_does_not_change_output(self):
-        for depth in ("counts", "polys"):  # polys forks, counts runs in process
-            reference = verify.emit_report(verify.sweep(5, depth, parallelism=1))
-            for workers in (2, 3, 8):
-                report = verify.sweep(5, depth, parallelism=workers)
-                assert verify.emit_report(report) == reference, (depth, workers)
+    def test_a_sweep_starts_no_process(self, monkeypatch):
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a sweep started a process")
 
-    def test_parallelism_merges_class_counts(self):
-        for depth in ("counts", "polys"):
-            serial = verify.sweep(5, depth, parallelism=1)
-            forked = verify.sweep(5, depth, parallelism=4)
-            assert serial.class_counts == forked.class_counts, depth
+        monkeypatch.setattr(os, "fork", no_fork)
+        for depth in verify.DEPTHS:
+            report = verify.sweep(6, depth, parallelism=4)
+            assert len(report.records) == 720 and report.violations == (), depth
 
 
 class TestEmitReport:
@@ -394,6 +345,9 @@ class TestOracleChecks:
             "rook_column_vs_backtracking",
             "pattern_columns_vs_backtracking",
             "bruhat_column_vs_essential_filter",
+            "product_column_vs_product_formula",
+            "distance_column_vs_region_sort",
+            "region_column_vs_region_sort",
         ]
         assert all(r.passed for r in results)
         assert all(r.n == 3 for r in results)
@@ -412,6 +366,9 @@ class TestOracleChecks:
         assert by_name["rook_column_vs_backtracking"] == 6
         assert by_name["pattern_columns_vs_backtracking"] == 7
         assert by_name["bruhat_column_vs_essential_filter"] == 7
+        assert by_name["product_column_vs_product_formula"] == 7
+        assert by_name["distance_column_vs_region_sort"] == 7
+        assert by_name["region_column_vs_region_sort"] == 7
         assert all(r.passed for r in results)
 
     def test_validation(self):
