@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import arrangement, orders, verify
@@ -100,6 +101,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    start = time.perf_counter()
     report = verify.sweep(args.n, depth=args.depth)
     payload = verify.emit_report(report, format=args.format)
     if args.output:
@@ -107,9 +109,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
+    seconds = time.perf_counter() - start
     print(
         f"n={report.n} depth={report.depth} records={len(report.records)} "
-        f"violations={len(report.violations)}",
+        f"violations={len(report.violations)} seconds={seconds:.3f} "
+        f"records_per_s={len(report.records) / seconds:.0f}",
         file=sys.stderr,
     )
     return 1 if report.violations else 0

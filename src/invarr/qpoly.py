@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 INT64_MAX = 2**63 - 1
 
 
@@ -26,6 +28,17 @@ def checked_int64(value: int) -> int:
     if value > INT64_MAX:
         raise OverflowError(f"value {value} exceeds the signed 64-bit range")
     return value
+
+
+def column_degrees(column: np.ndarray) -> np.ndarray:
+    """The degree of each row of a 2-d coefficient column (0 for a zero row).
+
+    >>> column_degrees(np.array([[1, 2, 0], [0, 0, 0], [0, 0, 5]])).tolist()
+    [1, 0, 2]
+    """
+    nonzero = column != 0
+    tops = np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), column.shape[1] - 1 - tops, 0)
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,30 @@ class QPolynomial:
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def from_column(cls, column: np.ndarray) -> list["QPolynomial"]:
+        """One polynomial per row of a 2-d coefficient column.
+
+        The column's dtype is checked once in place of each coefficient:
+        it must be unsigned and at most 64 bits wide, and a 64-bit column
+        must not exceed 2^63 - 1.
+
+        >>> QPolynomial.from_column(np.array([[1, 2, 0], [0, 0, 0]], dtype=np.uint16))
+        [QPolynomial(coeffs=(1, 2)), QPolynomial(coeffs=(0,))]
+        """
+        if column.dtype.kind != "u" or column.dtype.itemsize > 8 or column.ndim != 2:
+            raise TypeError(f"need a 2-d unsigned column of at most 64 bits, got {column.dtype}")
+        if column.dtype.itemsize == 8 and column.size:
+            checked_int64(int(column.max()))
+        lengths = (column_degrees(column) + 1).tolist()
+        new, set_coeffs = object.__new__, object.__setattr__
+        polys = []
+        for row, length in zip(column.tolist(), lengths):
+            poly = new(cls)
+            set_coeffs(poly, "coeffs", tuple(row[:length]))
+            polys.append(poly)
+        return polys
 
     @classmethod
     def one(cls) -> "QPolynomial":

@@ -5,6 +5,7 @@ by pytest's capsys so the tests see exactly what a shell would.
 """
 
 import json
+import re
 
 import pytest
 
@@ -138,7 +139,13 @@ class TestSweep:
         assert doc["n"] == 3
         assert doc["violations"] == []
         assert len(doc["records"]) == 6
-        assert b"records=6 violations=0" in captured.err
+        summary = captured.err.decode()
+        assert re.fullmatch(
+            r"n=3 depth=polys records=6 violations=0 seconds=\d+\.\d{3} "
+            r"records_per_s=\d+\n",
+            summary,
+        ), summary
+        assert int(summary.split("records_per_s=")[1]) > 0
 
     def test_output_file_matches_stdout(self, capsysbinary, tmp_path):
         code = cli.run(["sweep", "--n", "3"])

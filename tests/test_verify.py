@@ -5,14 +5,18 @@ import json
 import os
 from math import factorial
 
+import numpy as np
 import pytest
 
-from invarr import orders, perm, verify
+from invarr import orders, perm, rook, verify
 from invarr.perm import (
+    PATTERN_231,
+    PATTERN_312,
     POINCARE_MATCH_PATTERNS,
     REGION_BRUHAT_EQUALITY_PATTERNS,
     Permutation,
     avoids_all,
+    contains_pattern,
     inverse,
     iter_words,
 )
@@ -144,41 +148,239 @@ class TestStatRecord:
             assert calls == [word]
 
 
-class TestRecordChecks:
-    def _flags(self, record):
-        w = Permutation(record.w)
-        from invarr import rook
-        from invarr.perm import PATTERN_231, PATTERN_312, contains_pattern
+def _one_record_fields(record):
+    """The ``verify._Fields`` of one record, its 231, 312 and Ferrers flags
+    by backtracking and from the diagram."""
+    w = Permutation(record.w)
+    polys = (record.weak_poly, record.bruhat_poly, record.product_poly, record.distance_poly)
+    width = max((len(p.coeffs) for p in polys if p is not None), default=0)
 
-        return {
-            "avoids_231": not contains_pattern(w, PATTERN_231),
-            "avoids_312": not contains_pattern(w, PATTERN_312),
-            "ferrers": rook.is_right_justified_ferrers(rook.southwest_diagram(w)),
-        }
+    def one(value, dtype=np.int64):
+        return None if value is None else np.array([value], dtype=dtype)
+
+    def coefficients(p):
+        return None if p is None else one(p.coeffs + (0,) * (width - len(p.coeffs)), np.uint64)
+
+    return verify._Fields(
+        code=one(record.code, np.uint8),
+        inv=one(record.inv),
+        prod=one(record.prod),
+        wk=one(record.wk),
+        br=one(record.br),
+        ao=one(record.ao),
+        rk=one(record.rk),
+        avoids_231=one(not contains_pattern(w, PATTERN_231), bool),
+        avoids_312=one(not contains_pattern(w, PATTERN_312), bool),
+        avoids_four=one(record.avoids_four, bool),
+        avoids_3412_4231=one(record.avoids_3412_4231, bool),
+        ferrers=one(rook.is_right_justified_ferrers(rook.southwest_diagram(w)), bool),
+        weak=coefficients(record.weak_poly),
+        bruhat=coefficients(record.bruhat_poly),
+        product=coefficients(record.product_poly),
+        distance=coefficients(record.distance_poly),
+        re=one(record.re),
+    )
+
+
+class TestRecordChecks:
+    """``_record_checks`` evaluated on the fields of a single record."""
 
     def test_clean_record_passes_every_check(self):
         record = verify.stat_record(
             Permutation((2, 5, 1, 3, 4)), depth="with_region_oracle"
         )
-        results = verify._record_checks(record, self._flags(record))
-        assert all(ok for _, ok, _ in results)
+        results = verify._record_checks(_one_record_fields(record))
+        assert all(holds.tolist() == [True] for _, holds, _ in results)
         names = [name for name, _, _ in results]
-        assert "ao_eq_rk" in names
-        assert "re_eq_ao" in names
-        assert "distance_matches_bruhat_iff_avoids_3412_4231" in names
+        assert names == [
+            "wk_le_prod",
+            "prod_le_rk",
+            "ao_eq_rk",
+            "re_le_br",
+            "wk_eq_prod_iff_avoids_231",
+            "prod_eq_rk_iff_avoids_312",
+            "re_eq_br_iff_avoids_four",
+            "re_eq_wk_iff_avoids_231_312",
+            "wk_eq_br_iff_avoids_231_312",
+            "re_eq_ao",
+            "weak_poly_eq_product_poly_if_avoids_231",
+            "distance_poly_consistent",
+            "distance_matches_bruhat_iff_avoids_3412_4231",
+        ]
+        counts_record = verify.stat_record(Permutation((2, 5, 1, 3, 4)))
+        shallow = verify._record_checks(_one_record_fields(counts_record))
+        assert [name for name, _, _ in shallow] == names[:9]
 
     def test_tampered_records_are_caught(self):
         record = verify.stat_record(
             Permutation((2, 5, 1, 3, 4)), depth="with_region_oracle"
         )
-        flags = self._flags(record)
         broken_ao = dataclasses.replace(record, ao=999)
-        failed = {name for name, ok, _ in verify._record_checks(broken_ao, flags) if not ok}
-        assert "ao_eq_rk" in failed
-        assert "re_eq_ao" in failed
+        failed = {
+            name: detail(0)
+            for name, holds, detail in verify._record_checks(_one_record_fields(broken_ao))
+            if not holds[0]
+        }
+        assert failed == {"ao_eq_rk": "ao=999 rk=16", "re_eq_ao": "re=16 ao=999"}
         broken_wk = dataclasses.replace(record, wk=record.prod + 1)
-        failed = {name for name, ok, _ in verify._record_checks(broken_wk, flags) if not ok}
+        failed = {
+            name
+            for name, holds, _ in verify._record_checks(_one_record_fields(broken_wk))
+            if not holds[0]
+        }
         assert "wk_le_prod" in failed
+        broken_distance = dataclasses.replace(record, distance_poly=record.weak_poly)
+        failed = {
+            name: detail(0)
+            for name, holds, detail in verify._record_checks(_one_record_fields(broken_distance))
+            if not holds[0]
+        }
+        assert failed["distance_poly_consistent"] == "distance=1 + q + 2q^2 + 2q^3 + q^4 re=16 inv=4"
+        assert "distance_matches_bruhat_iff_avoids_3412_4231" in failed
+        broken_re = dataclasses.replace(record, re=record.br + 1)
+        failed = {
+            name: detail(0)
+            for name, holds, detail in verify._record_checks(_one_record_fields(broken_re))
+            if not holds[0]
+        }
+        assert failed == {
+            "re_le_br": "re=17 br=16",
+            "re_eq_br_iff_avoids_four": "re=17 br=16 avoids_four=True",
+            "re_eq_ao": "re=17 ao=16",
+            "distance_poly_consistent": "distance=1 + 4q + 6q^2 + 4q^3 + q^4 re=17 inv=4",
+        }
+
+
+def _recount_classes(report):
+    """The class counts of ``report``, recounted one record at a time with
+    the 231, 312 and Ferrers flags by backtracking and from the diagram."""
+    keys = verify.CLASS_KEYS
+    if report.depth != "counts":
+        keys += verify.POLY_CLASS_KEYS
+    counts = dict.fromkeys(keys, 0)
+    for record in report.records:
+        w = Permutation(record.w)
+        avoids_231 = not contains_pattern(w, PATTERN_231)
+        avoids_312 = not contains_pattern(w, PATTERN_312)
+        ferrers = rook.is_right_justified_ferrers(rook.southwest_diagram(w))
+        re_eff = record.re if record.re is not None else record.ao
+        counts["re_eq_wk"] += re_eff == record.wk
+        counts["wk_eq_prod"] += record.wk == record.prod
+        counts["prod_eq_rk"] += record.prod == record.rk
+        counts["re_eq_br"] += re_eff == record.br
+        counts["wk_eq_br"] += record.wk == record.br
+        counts["avoids_231"] += avoids_231
+        counts["avoids_312"] += avoids_312
+        counts["avoids_231_312"] += record.avoids_231_312
+        counts["avoids_four"] += record.avoids_four
+        counts["avoids_3412_4231"] += record.avoids_3412_4231
+        counts["ferrers_312_containing"] += ferrers and not avoids_312
+        if report.depth != "counts":
+            counts["weak_poly_eq_product_poly_231_containing"] += (
+                not avoids_231 and record.weak_poly == record.product_poly
+            )
+    return counts
+
+
+class TestWholeGroupChecks:
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_class_counts_match_a_per_record_recount(self, depth):
+        for n in range(1, 7):
+            report = verify.sweep(n, depth)
+            recount = _recount_classes(report)
+            assert report.class_counts == recount, (n, depth)
+            assert list(report.class_counts) == list(recount)
+
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_a_sweep_checks_and_counts_once(self, monkeypatch, depth):
+        calls = []
+        for name in ("_record_checks", "_update_class_counts"):
+            original = getattr(verify, name)
+
+            def counting(*args, original=original, name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(verify, name, counting)
+        verify.sweep(5, depth)
+        assert calls == ["_record_checks", "_update_class_counts"]
+
+    @staticmethod
+    def _tamper_ao(monkeypatch, ranks):
+        """Make group_columns(5) return a copy with ao raised by one at ``ranks``."""
+        from invarr import columns
+
+        original = columns.group_columns
+        clean = original(5)
+        ao = clean.ao.copy()
+        ao[ranks] += 1
+        tampered = dataclasses.replace(clean, ao=ao)
+        monkeypatch.setattr(
+            columns, "group_columns", lambda n: tampered if n == 5 else original(n)
+        )
+
+    def test_failing_rank_violations_are_pinned(self, monkeypatch):
+        self._tamper_ao(monkeypatch, [33])  # w = 23451
+        record = {
+            "w": [2, 3, 4, 5, 1],
+            "inv": 4,
+            "code": [1, 1, 1, 1, 0],
+            "prod": 16,
+            "wk": 5,
+            "br": 16,
+            "ao": 17,
+            "rk": 16,
+            "re": None,
+            "avoids_231_312": False,
+            "avoids_four": True,
+            "avoids_3412_4231": True,
+            "weak_poly": None,
+            "bruhat_poly": None,
+            "product_poly": None,
+            "distance_poly": None,
+        }
+        expected = [
+            ("ao_eq_rk", "ao=17 rk=16"),
+            ("re_le_br", "re=17 br=16"),
+            ("re_eq_br_iff_avoids_four", "re=17 br=16 avoids_four=True"),
+        ]
+        report = verify.sweep(5)
+        assert list(report.violations) == [
+            {"rank": 33, "w": [2, 3, 4, 5, 1], "check": c, "detail": d, "record": record}
+            for c, d in expected
+        ]
+        assert report.class_counts["re_eq_br"] == _recount_classes(report)["re_eq_br"]
+
+        polys = dict(
+            record,
+            weak_poly=[1, 1, 1, 1, 1],
+            bruhat_poly=[1, 4, 6, 4, 1],
+            product_poly=[1, 4, 6, 4, 1],
+            distance_poly=[1, 4, 6, 4, 1],
+        )
+        expected.append(
+            ("distance_poly_consistent", "distance=1 + 4q + 6q^2 + 4q^3 + q^4 re=17 inv=4")
+        )
+        report = verify.sweep(5, "polys")
+        assert list(report.violations) == [
+            {"rank": 33, "w": [2, 3, 4, 5, 1], "check": c, "detail": d, "record": polys}
+            for c, d in expected
+        ]
+
+        full = dict(polys, re=16)
+        report = verify.sweep(5, "with_region_oracle")
+        assert list(report.violations) == [
+            {"rank": 33, "w": [2, 3, 4, 5, 1], "check": c, "detail": d, "record": full}
+            for c, d in (("ao_eq_rk", "ao=17 rk=16"), ("re_eq_ao", "re=16 ao=17"))
+        ]
+
+    def test_violations_come_by_rank_then_table_order(self, monkeypatch):
+        self._tamper_ao(monkeypatch, [60, 33])  # w = 34125 and 23451
+        checks = ["ao_eq_rk", "re_le_br", "re_eq_br_iff_avoids_four"]
+        report = verify.sweep(5)
+        assert [(v["rank"], v["check"]) for v in report.violations] == [
+            (rank, check) for rank in (33, 60) for check in checks
+        ]
 
 
 class TestSweep:
