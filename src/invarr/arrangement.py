@@ -13,7 +13,7 @@ Regions are enumerated combinatorially: a region is determined by its
 sign vector over the inverted pairs, and the achievable sign vectors are
 exactly the restrictions I(u) & I(w) over all permutations u.  They are
 kept as the distinct uint32 inversion masks left by one sort of the
-whole-group table (``perm.group_table``, n <= 8); only
+whole-group table (``columns.group_table``, n <= 8); only
 ``RegionSet.signs`` compacts them onto the inverted pairs.  The base
 region is the identity chamber x_1 < x_2 < ... < x_n (mask 0); a
 region's distance is the number of hyperplanes separating it from the
@@ -40,10 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .columns import group_table
 from .perm import (
     InversionSet,
     Permutation,
-    group_table,
     inversion_mask,
     inversion_set,
     length_polynomial,

@@ -1,23 +1,19 @@
-"""Whole-group statistic columns: one numpy column per statistic over S_n.
+"""The cached per-n table of the whole symmetric group, one numpy array per quantity.
 
-For n <= 8, ``group_columns(n)`` holds, row k for the word of
-lexicographic rank k (the rows of ``perm.group_table``), the Lehmer
-codes and code products, the weak Poincare polynomials (whose row sums
-are wk), the Bruhat interval sizes by length (whose row sums are br),
-the acyclic orientation counts ao, the rook counts rk, the containment
-flags of the seven patterns of the paper's characterizations and the
-Ferrers flag of the south-west diagram.  The code product polynomials,
-the region distance enumerators and the region counts re, which only
-the sweep depths past ``counts`` read, are built on first use and
-cached with the rest.  A sweep reads every field of its records from
-these columns; ``verify.stat_record`` keeps the per-record routes (the
-weak filter, the essential-set filter ``GroupTable.bruhat_below``, the
-chromatic polynomial from partitions into independent sets,
-backtracking, ``orders.product_q_formula``, the region sort), and they
-are the columns' oracles.  Each column except Bruhat's comes from a
-recursion over the whole group that shares no arithmetic with those
-routes, so the checked relations rk = ao, re = ao and wk <= prod keep
-their meaning:
+For n <= 8, row k of every array of ``group_table(n)`` belongs to the
+word of lexicographic rank k.  Each array is read-only and built on
+first use, so a caller builds only what it reads: ``verify.stat_record``
+and the CLI read the words, inversion masks and counts and dominance
+counts; a sweep adds the statistic columns, and past depth ``counts``
+the product, distance and re columns; the build of a column of S_n
+reads only the ao, containment and distance columns of smaller groups.
+The per-record routes of ``stat_record`` (the weak filter, the
+essential-set filter ``GroupTable.bruhat_below``, the chromatic
+polynomial from partitions into independent sets, backtracking,
+``orders.product_q_formula``, the region sort) are the columns'
+oracles.  Each column except Bruhat's comes from a recursion over the
+whole group that shares no arithmetic with those routes, so the checked
+relations rk = ao, re = ao and wk <= prod keep their meaning:
 
 * the weak polynomials by the Moebius recursion of left weak order
   (Bjoerner and Brenti, *Combinatorics of Coxeter Groups*, GTM 231,
@@ -52,8 +48,8 @@ transformed words back from a column by their lexicographic rank.  A
 build looks the rank up in one uint16 table per word length k, keyed by
 the first min(k, n - 1) letters in base n (the letters are values in
 1..n, so no standardization is needed) and filled from the distinct
-prefixes of the words of S_n; the tables are dropped when the build
-ends.
+prefixes of the words of S_n; each column that reads ranks builds the
+tables for itself and drops them when its build ends.
 
 The Bruhat column evaluates the criterion of ``bruhat_below`` for every
 word at once: u <= w exactly when the dominance counts of u lie below
@@ -63,16 +59,16 @@ bitset over S_n, the bit axis ordered by length, and a row of length
 counts is the AND of the bitsets of its essential cells, popcounted one
 length segment at a time.
 
->>> columns = group_columns(3)
->>> columns.wk.tolist(), columns.ao.tolist(), columns.rk.tolist()
+>>> table = group_table(3)
+>>> table.wk.tolist(), table.ao.tolist(), table.rk.tolist()
 ([1, 2, 2, 3, 3, 6], [1, 2, 2, 4, 4, 6], [1, 2, 2, 4, 4, 6])
->>> columns.bruhat.sum(axis=1).tolist(), columns.bruhat[3].tolist()
+>>> table.bruhat.sum(axis=1).tolist(), table.bruhat[3].tolist()
 ([1, 2, 2, 4, 4, 6], [1, 2, 1, 0])
->>> str(PATTERNS[0]), columns.avoids(PATTERNS[:1]).tolist()
+>>> str(PATTERNS[0]), table.avoids(PATTERNS[:1]).tolist()
 ('231', [True, True, True, False, True, True])
->>> columns.weak[3].tolist(), columns.product[3].tolist(), columns.distance[3].tolist()
+>>> table.weak[3].tolist(), table.product[3].tolist(), table.distance[3].tolist()
 ([1, 1, 1, 0], [1, 2, 1, 0], [1, 2, 1, 0])
->>> columns.re.tolist()
+>>> table.re.tolist()
 [1, 2, 2, 4, 4, 6]
 """
 
@@ -81,25 +77,26 @@ from __future__ import annotations
 import itertools
 import mmap
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import factorial
 
 import numpy as np
 
 from .perm import (
-    MAX_TABLE_N,
     POINCARE_MATCH_PATTERNS,
+    POPCOUNT_16,
     REGION_BRUHAT_EQUALITY_PATTERNS,
     WEAK_EQUALITY_PATTERNS,
-    GroupTable,
     Permutation,
-    group_table,
+    Word,
+    _essential_conditions,
+    iter_words,
     popcounts,
 )
 from .rook import permanents
 
-# Bit counts of the 16-bit values: np.bitwise_count is NumPy 2 only.
-_SHORT_POPCOUNT = popcounts(np.arange(1 << 16, dtype=np.uint32))
+# Largest n of the whole-group table: 8! rows, C(8, 2) = 28 mask bits.
+MAX_TABLE_N = 8
 # Words per AND pass of the Bruhat column: 256 rows of bitsets are 1.3 MB
 # at n = 8, and the whole index 3.0 MB.
 _BRUHAT_CHUNK = 256
@@ -115,49 +112,170 @@ PATTERNS: tuple[Permutation, ...] = tuple(
 )
 
 
+def _array(build):
+    """An array of the table, built on first use, cached and read-only."""
+
+    @wraps(build)
+    def read_only(table: GroupTable) -> np.ndarray:
+        array = build(table)
+        array.setflags(write=False)  # every caller shares the cached arrays
+        return array
+
+    return cached_property(read_only)
+
+
 @dataclass(frozen=True, eq=False)
-class GroupColumns:
-    """The statistics of every word of S_n, row k for lexicographic rank k."""
+class GroupTable:
+    """Every word of S_n and its statistics, row k for lexicographic rank k.
+
+    ``masks`` are uint32 over the slots of ``perm.pair_slot`` (C(8, 2) =
+    28 bits at most).  ``dom`` holds the Bruhat dominance counts:
+    0-based column i * n + j counts the a <= i + 1 with u_a > j, and
+    u <= w exactly when dom[u] <= dom[w] entrywise.  It is stored
+    column-major, each column one contiguous run, because
+    ``bruhat_below`` reads only the few columns of Fulton's essential
+    set of w0 w (see ``perm._essential_conditions``).
+    """
 
     n: int
-    code: np.ndarray  # (n!, n) uint8 Lehmer codes
-    prod: np.ndarray  # (n!,) int32 code products
-    weak: np.ndarray  # (n!, C(n, 2) + 1) uint16: [k, l] = #{u <=_L w_k : inv(u) = l}
-    wk: np.ndarray  # (n!,) int32 weak interval sizes, the row sums of weak
-    bruhat: np.ndarray  # (n!, C(n, 2) + 1) uint16: [k, l] = #{u <= w_k : inv(u) = l}
-    ao: np.ndarray  # (n!,) int32 acyclic orientations of the inversion graph
-    rk: np.ndarray  # (n!,) int32 rook placements
-    contains: np.ndarray  # (len(PATTERNS), n!) bool, row t for PATTERNS[t]
-    ferrers: np.ndarray  # (n!,) bool: right-justified Ferrers diagram
+
+    @_array
+    def words(self) -> np.ndarray:
+        """(n!, n) int8 words in lexicographic order."""
+        return np.array(list(iter_words(self.n)), dtype=np.int8)
+
+    @_array
+    def masks(self) -> np.ndarray:
+        """(n!,) uint32 inversion masks."""
+        words = self.words
+        masks = np.zeros(len(words), dtype=np.uint32)
+        for slot, (i, j) in enumerate(itertools.combinations(range(self.n), 2)):
+            masks |= (words[:, i] > words[:, j]).astype(np.uint32) << np.uint32(slot)
+        return masks
+
+    @_array
+    def inv(self) -> np.ndarray:
+        """(n!,) uint8 inversion counts."""
+        return popcounts(self.masks)
+
+    @_array
+    def dom(self) -> np.ndarray:
+        """(n!, n * n) uint8 dominance counts, Fortran order."""
+        n, words = self.n, self.words
+        dom = np.empty((len(words), n * n), dtype=np.uint8, order="F")
+        for j in range(n):
+            running = np.zeros(len(words), dtype=np.uint8)
+            for i in range(n):
+                running += words[:, i] > j
+                dom[:, i * n + j] = running
+        return dom
+
+    @_array
+    def code(self) -> np.ndarray:
+        """(n!, n) uint8 Lehmer codes."""
+        return _lehmer_codes(self.words)
+
+    @_array
+    def prod(self) -> np.ndarray:
+        """(n!,) int32 code products."""
+        return np.prod(self.code.astype(np.int32) + 1, axis=1, dtype=np.int32)
+
+    @_array
+    def weak(self) -> np.ndarray:
+        """(n!, C(n, 2) + 1) uint16: [k, l] = #{u <=_L w_k : inv(u) = l}."""
+        return _weak_polynomials(self.words, self.inv, _rank_tables(self.n))
+
+    @_array
+    def wk(self) -> np.ndarray:
+        """(n!,) int32 weak interval sizes, the row sums of ``weak``."""
+        return self.weak.sum(axis=1, dtype=np.int32)
+
+    @_array
+    def bruhat(self) -> np.ndarray:
+        """(n!, C(n, 2) + 1) uint16: [k, l] = #{u <= w_k : inv(u) = l}."""
+        return _bruhat_counts(self)
+
+    @_array
+    def ao(self) -> np.ndarray:
+        """(n!,) int32 acyclic orientations of the inversion graph."""
+        return _orientation_counts(self.words, _rank_tables(self.n))
+
+    @_array
+    def rk(self) -> np.ndarray:
+        """(n!,) int32 rook placements on the complement of the south-west diagram."""
+        complement = _diagram_rows(self.words) ^ np.uint16((1 << self.n) - 1)
+        return permanents(complement).astype(np.int32)
+
+    @_array
+    def contains(self) -> np.ndarray:
+        """(len(PATTERNS), n!) bool, row t for PATTERNS[t]."""
+        return _containment(self.words, _rank_tables(self.n))
+
+    @_array
+    def ferrers(self) -> np.ndarray:
+        """(n!,) bool: the south-west diagram is a right-justified Ferrers diagram."""
+        n, diagram = self.n, _diagram_rows(self.words)
+        counts = POPCOUNT_16[diagram]
+        right_justified = diagram == (1 << n) - (1 << (n - counts.astype(np.int32)))
+        return right_justified.all(axis=1) & (counts[:, :-1] >= counts[:, 1:]).all(axis=1)
+
+    @_array
+    def product(self) -> np.ndarray:
+        """(n!, C(n, 2) + 1) uint16: the coefficients of prod [c_i + 1]_q."""
+        return _product_polynomials(self.code).astype(np.uint16)
+
+    @_array
+    def distance(self) -> np.ndarray:
+        """(n!, C(n, 2) + 1) uint16: [k, l] = #{regions of w_k at distance l}."""
+        distance = _orientation_counts(self.words, _rank_tables(self.n), self.masks)
+        return distance.astype(np.uint16)
+
+    @_array
+    def re(self) -> np.ndarray:
+        """(n!,) int32 region counts of the inversion arrangements."""
+        return _gate_counts(self)
+
+    def weak_below(self, target_mask: int) -> np.ndarray:
+        """Rows u with I(u) inside ``target_mask``: u <= w in left weak order."""
+        return (self.masks & ~np.uint32(target_mask)) == 0
+
+    def bruhat_below(self, word: Word) -> np.ndarray:
+        """Rows u <= ``word`` in Bruhat order, by the essential-set columns.
+
+        The route of ``verify.stat_record`` and ``orders.bruhat_interval``
+        for one word, and the oracle of the ``bruhat`` column, which
+        evaluates the same conditions for every word at once.
+        """
+        below = np.ones(len(self.dom), dtype=bool)
+        for column, bound in _essential_conditions(word):
+            below &= self.dom[:, column] <= bound
+        return below
+
+    def region_signs(self, target_mask: int) -> np.ndarray:
+        """The distinct restrictions of the rows' inversion sets to ``target_mask``, sorted."""
+        # sort and drop repeats: np.unique is several times slower here
+        restricted = np.sort(self.masks & np.uint32(target_mask))
+        return restricted[np.concatenate(([True], restricted[1:] != restricted[:-1]))]
 
     def avoids(self, patterns: tuple[Permutation, ...]) -> np.ndarray:
         """Rows containing none of ``patterns`` (each one of ``PATTERNS``)."""
         rows = [PATTERNS.index(p) for p in patterns]
         return ~self.contains[rows].any(axis=0)
 
-    # The columns only the depths past ``counts`` read, built on first use.
 
-    @cached_property
-    def product(self) -> np.ndarray:
-        """(n!, C(n, 2) + 1) uint16: the coefficients of prod [c_i + 1]_q."""
-        return _read_only(_product_polynomials(self.code).astype(np.uint16))
+@lru_cache(maxsize=MAX_TABLE_N)
+def group_table(n: int) -> GroupTable:
+    """The cached table of S_n, n <= 8; its arrays are built on first use.
 
-    @cached_property
-    def distance(self) -> np.ndarray:
-        """(n!, C(n, 2) + 1) uint16: [k, l] = #{regions of w_k at distance l}."""
-        table = group_table(self.n)
-        distance = _orientation_counts(table.words, _rank_tables(self.n), table.masks)
-        return _read_only(distance.astype(np.uint16))
-
-    @cached_property
-    def re(self) -> np.ndarray:
-        """(n!,) int32 region counts of the inversion arrangements."""
-        return _read_only(_gate_counts(group_table(self.n)))
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)  # every caller shares the cached arrays
-    return array
+    >>> table = group_table(3)
+    >>> table.words[5].tolist(), int(table.masks[5]), int(table.inv[5])
+    ([3, 2, 1], 7, 3)
+    """
+    if not 1 <= n <= MAX_TABLE_N:
+        raise ValueError(f"whole-group tables support n <= {MAX_TABLE_N}, got n={n}")
+    if n * (n - 1) // 2 > 32:
+        raise ValueError(f"uint32 inversion masks hold C(n, 2) <= 32 pair slots, got n={n}")
+    return GroupTable(n)
 
 
 def _lehmer_codes(words: np.ndarray) -> np.ndarray:
@@ -275,11 +393,11 @@ def _orientation_counts(
     """
     n = words.shape[1]
     if masks is None:
-        smaller = [np.ones(1, dtype=np.int32)] + [group_columns(k).ao for k in range(1, n)]
+        smaller = [np.ones(1, dtype=np.int32)] + [group_table(k).ao for k in range(1, n)]
         counts = np.zeros(len(words), dtype=np.int32)
     else:
         smaller = [np.ones((1, 1), dtype=np.int32)] + [
-            group_columns(k).distance.astype(np.int32) for k in range(1, n)
+            group_table(k).distance.astype(np.int32) for k in range(1, n)
         ]
         counts = np.zeros((len(words), n * (n - 1) // 2 + 1), dtype=np.int32)
     pairs = list(itertools.combinations(range(n), 2))
@@ -357,7 +475,7 @@ def _containment(words: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
         if pattern.n == n:
             contains[t, _ranks(np.array([pattern.word]), tables)[0]] = True
     if n > 1:
-        smaller = group_columns(n - 1).contains
+        smaller = group_table(n - 1).contains
         for d in range(n):
             contains |= smaller[:, _ranks(np.delete(words, d, axis=1), tables)]
     return contains
@@ -442,56 +560,8 @@ def _bruhat_counts(table: GroupTable) -> np.ndarray:
             below = index[cell[:, 0], : segments[top]]
             for t in range(1, size):
                 below &= index[cell[:, t], : segments[top]]
-            ones = _SHORT_POPCOUNT[below.view(np.uint16)]
+            ones = POPCOUNT_16[below.view(np.uint16)]
             counts[rows, :top] = np.add.reduceat(
                 ones, 4 * segments[:top], axis=1, dtype=np.uint16
             )
     return counts
-
-
-@lru_cache(maxsize=MAX_TABLE_N)
-def group_columns(n: int) -> GroupColumns:
-    """The cached, read-only columns of S_n, n <= 8 (those of S_{<n} come along).
-
-    >>> int(group_columns(4).prod[-1]), int(group_columns(4).ferrers.sum())
-    (24, 14)
-    """
-    table = group_table(n)  # enforces n <= 8
-    words = table.words
-    code = _lehmer_codes(words)
-    prod = np.prod(code.astype(np.int32) + 1, axis=1, dtype=np.int32)
-    diagram = _diagram_rows(words)
-    counts = popcounts(diagram.astype(np.uint32))
-    right_justified = diagram == (1 << n) - (1 << (n - counts.astype(np.int32)))
-    ferrers = right_justified.all(axis=1) & (counts[:, :-1] >= counts[:, 1:]).all(axis=1)
-    rk = permanents(diagram ^ np.uint16((1 << n) - 1)).astype(np.int32)
-    bruhat = _bruhat_counts(table)  # before the rank tables: they never share a peak
-    tables = _rank_tables(n)
-    weak = _weak_polynomials(words, table.inv, tables)
-    ao = _orientation_counts(words, tables)
-    contains = _containment(words, tables)
-    columns = GroupColumns(
-        n=n,
-        code=code,
-        prod=prod,
-        weak=weak,
-        wk=weak.sum(axis=1, dtype=np.int32),
-        bruhat=bruhat,
-        ao=ao,
-        rk=rk,
-        contains=contains,
-        ferrers=ferrers,
-    )
-    for array in (
-        columns.code,
-        columns.prod,
-        columns.weak,
-        columns.wk,
-        columns.bruhat,
-        columns.ao,
-        columns.rk,
-        columns.contains,
-        columns.ferrers,
-    ):
-        _read_only(array)
-    return columns

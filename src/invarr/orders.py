@@ -7,7 +7,7 @@ transpositions and keying visited states by inversion mask, so each state
 is O(n) work; this route serves every n <= 12 whose code product, an
 upper bound on the interval size, is within a state budget.  For n <= 8
 the same interval is also a filter of the whole-group table
-(``perm.group_table``) by mask containment, the weak route of
+(``columns.group_table``) by mask containment, the weak route of
 ``verify.stat_record``, which the BFS checks.
 Bruhat intervals filter the same table by its dominance counts, read
 only on the columns of Fulton's essential set of w0 w
@@ -32,13 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import GroupTable, group_table
 from .perm import (
-    GroupTable,
     Permutation,
     Word,
     _pair_tables,
     code_product,
-    group_table,
     inversion_mask,
     inversion_set,
     length_polynomial,

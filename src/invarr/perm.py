@@ -5,8 +5,8 @@ values are 1-based at every public boundary.  This module owns the
 vocabulary the rest of the library consumes: inversion sets realized as
 bit masks over the C(n, 2) position pairs, Lehmer codes and their
 products, pattern containment, the transitivity test that
-characterizes which pair sets are inversion sets, and the one cached
-per-n table of the whole group that every whole-group route reads.
+characterizes which pair sets are inversion sets, bit counts of masks
+and the essential-set conditions of Bruhat order.
 
 The inversion set of w is I(w) = {(i, j) : i < j, w_i > w_j}, a set of
 POSITION pairs.  Pair (i, j) with i < j is assigned the bit slot given
@@ -38,10 +38,12 @@ from .qpoly import QPolynomial, checked_int64
 
 Word = tuple[int, ...]
 
-# Largest n of the whole-group table: 8! rows, C(8, 2) = 28 mask bits.
-MAX_TABLE_N = 8
-# Bit counts of the byte values: np.bitwise_count is NumPy 2 only.
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# Bit counts of the 16-bit values: np.bitwise_count is NumPy 2 only.
+POPCOUNT_16 = (
+    np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8))
+    .reshape(-1, 16)
+    .sum(axis=1, dtype=np.uint8)
+)
 # code_product of the longest element is n!; 20! < 2^63 <= 21!.
 MAX_CODE_PRODUCT_N = 20
 
@@ -392,12 +394,12 @@ def length_polynomial(lengths) -> QPolynomial:
 
 
 def popcounts(masks: np.ndarray) -> np.ndarray:
-    """Bit counts of uint32 ``masks`` as uint8, by four byte-table lookups.
+    """Bit counts of uint32 ``masks`` as uint8, by two 16-bit table lookups.
 
     >>> popcounts(np.array([0, 7, 2**28 - 1], dtype=np.uint32)).tolist()
     [0, 3, 28]
     """
-    return sum(_BYTE_POPCOUNT[masks >> shift & 0xFF] for shift in (0, 8, 16, 24))
+    return POPCOUNT_16[masks & 0xFFFF] + POPCOUNT_16[masks >> 16]
 
 
 def _essential_conditions(word: Word) -> list[tuple[int, int]]:
@@ -436,75 +438,3 @@ def _essential_conditions(word: Word) -> list[tuple[int, int]]:
                 bound = sum(1 for x in v[:i] if x <= j)
                 conditions.append(((i - 1) * n + n - j, bound))
     return conditions
-
-
-@dataclass(frozen=True, eq=False)
-class GroupTable:
-    """Every word of S_n, row k holding the word of lexicographic rank k.
-
-    ``masks`` are uint32 over the slots of ``pair_slot`` (C(8, 2) = 28
-    bits at most), and ``popcounts`` gives their bit counts.  ``dom``
-    holds the Bruhat dominance counts: 0-based column i * n + j counts
-    the a <= i + 1 with u_a > j, and u <= w exactly when dom[u] <= dom[w]
-    entrywise.  It is stored column-major, each column one contiguous
-    run, because ``bruhat_below`` reads only the few columns of Fulton's
-    essential set of w0 w (see ``_essential_conditions``).
-    """
-
-    n: int
-    words: np.ndarray  # (n!, n) int8
-    masks: np.ndarray  # (n!,) uint32 inversion masks
-    inv: np.ndarray  # (n!,) uint8 inversion counts
-    dom: np.ndarray  # (n!, n * n) uint8 dominance counts, Fortran order
-
-    def weak_below(self, target_mask: int) -> np.ndarray:
-        """Rows u with I(u) inside ``target_mask``: u <= w in left weak order."""
-        return (self.masks & ~np.uint32(target_mask)) == 0
-
-    def bruhat_below(self, word: Word) -> np.ndarray:
-        """Rows u <= ``word`` in Bruhat order, by the essential-set columns.
-
-        The route of ``verify.stat_record`` and ``orders.bruhat_interval``
-        for one word, and the oracle of the sweeps' whole-group Bruhat
-        column (``columns.group_columns(n).bruhat``), which evaluates the
-        same conditions for every word at once.
-        """
-        below = np.ones(len(self.dom), dtype=bool)
-        for column, bound in _essential_conditions(word):
-            below &= self.dom[:, column] <= bound
-        return below
-
-    def region_signs(self, target_mask: int) -> np.ndarray:
-        """The distinct restrictions of the rows' inversion sets to ``target_mask``, sorted."""
-        # sort and drop repeats: np.unique is several times slower here
-        restricted = np.sort(self.masks & np.uint32(target_mask))
-        return restricted[np.concatenate(([True], restricted[1:] != restricted[:-1]))]
-
-
-@lru_cache(maxsize=MAX_TABLE_N)
-def group_table(n: int) -> GroupTable:
-    """The cached table of S_n (one per n <= 8, about 3.3 MB at n = 8).
-
-    >>> table = group_table(3)
-    >>> table.words[5].tolist(), int(table.masks[5]), int(table.inv[5])
-    ([3, 2, 1], 7, 3)
-    """
-    if not 1 <= n <= MAX_TABLE_N:
-        raise ValueError(f"whole-group tables support n <= {MAX_TABLE_N}, got n={n}")
-    if n * (n - 1) // 2 > 32:
-        raise ValueError(f"uint32 inversion masks hold C(n, 2) <= 32 pair slots, got n={n}")
-    words = np.array(list(iter_words(n)), dtype=np.int8)
-    masks = np.zeros(len(words), dtype=np.uint32)
-    for slot, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        masks |= (words[:, i] > words[:, j]).astype(np.uint32) << np.uint32(slot)
-    inv = popcounts(masks)
-    dom = np.empty((len(words), n * n), dtype=np.uint8, order="F")
-    for j in range(n):
-        running = np.zeros(len(words), dtype=np.uint8)
-        for i in range(n):
-            running += words[:, i] > j
-            dom[:, i * n + j] = running
-    table = GroupTable(n, words, masks, inv, dom)
-    for array in (table.words, table.masks, table.inv, table.dom):
-        array.setflags(write=False)  # every caller shares the cached arrays
-    return table

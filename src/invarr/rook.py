@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perm import Permutation, lehmer_code, popcounts
+from .perm import POPCOUNT_16, Permutation, lehmer_code
 from .qpoly import checked_int64
 
-MAX_PERMANENT_N = 12
+MAX_PERMANENT_N = 12  # at most 16: the column subsets index POPCOUNT_16
 # Products one Ryser block holds at once (64 KiB of int32).
 _RYSER_CHUNK = 1 << 14
-_SUBSET_POPCOUNT = popcounts(np.arange(1 << MAX_PERMANENT_N, dtype=np.uint32))
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def permanents(rows: np.ndarray) -> np.ndarray:
     """
     n = rows.shape[1]
     subsets = np.arange(1 << n, dtype=np.uint16)
-    odd = (n - _SUBSET_POPCOUNT[: 1 << n]) % 2 == 1
+    odd = (n - POPCOUNT_16[: 1 << n]) % 2 == 1
     signs = np.where(odd, -1, 1).astype(np.int64)
     dtype = np.int32 if n <= 9 else np.int64
     step = max(1, _RYSER_CHUNK >> n)
@@ -108,7 +107,7 @@ def permanents(rows: np.ndarray) -> np.ndarray:
         block = rows[lo : lo + step]
         products = np.ones((len(block), 1 << n), dtype=dtype)
         for i in range(n):
-            products *= _SUBSET_POPCOUNT[block[:, i, None] & subsets]
+            products *= POPCOUNT_16[block[:, i, None] & subsets]
         out[lo : lo + step] = products @ signs
     return out
 

@@ -22,8 +22,8 @@ order, within a rank in table order, each with its detail text and its
 full record.
 
 A sweep runs in the calling process and reads every field of every
-record, at every depth, from the whole-group columns of S_n
-(``columns.group_columns``): the weak Poincare polynomials (whose row
+record, at every depth, from the whole-group columns of the cached
+table ``columns.group_table(n)``: the weak Poincare polynomials (whose row
 sums are wk) by the Moebius recursion of weak order over left-descent
 subsets (Bjoerner and Brenti, GTM 231, section 3.2), br and the Bruhat
 length counts by Fulton's essential-set criterion evaluated for the
@@ -40,9 +40,10 @@ pattern backtracking, ``orders.product_q_formula`` and the region
 sort); these, with backtracking rook search for rk, are the columns'
 oracles.  Both feed the one record assembly, ``_build_record``.
 
-The per-record routes and the regions read one cached table per n
-(``perm.group_table``): weak intervals select the rows whose inversion
-mask lies inside I(w), Bruhat intervals the rows whose dominance counts
+The per-record routes and the regions read only the same table's
+words, masks, inversion counts and dominance counts, which are built on
+first use like every column: weak intervals select the rows whose
+inversion mask lies inside I(w), Bruhat intervals the rows whose dominance counts
 R_u[i][j] = #{a <= i : u_a >= j} lie below R_w, compared only on the
 cells of Fulton's essential set of w0 w (Duke Math. J. 65, 1992), and
 regions are the distinct restrictions of the masks to I(w).
@@ -71,18 +72,17 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import arrangement, orders, rook
+from .columns import PATTERNS, GroupTable, group_table
 from .perm import (
     PATTERN_231,
     PATTERN_312,
     POINCARE_MATCH_PATTERNS,
     REGION_BRUHAT_EQUALITY_PATTERNS,
-    GroupTable,
     Permutation,
     Word,
     avoids_all,
     code_product,
     contains_pattern,
-    group_table,
     iter_words,
     length_polynomial,
     lehmer_code,
@@ -264,29 +264,30 @@ class _Fields:
 
 
 def _sweep_fields(n: int, depth: str) -> _Fields:
-    """The fields of every word of S_n, read from ``group_columns(n)``; a
+    """The fields of every word of S_n, read from ``group_table(n)``; a
     ``counts`` sweep reads no polynomial column."""
-    from .columns import group_columns
-
-    columns = group_columns(n)  # enforces n <= 8
+    table = group_table(n)  # enforces n <= 8
+    # Bruhat first: once the weak column's freed int32 array raises glibc's
+    # mmap threshold, its temporaries stay in the heap (S7 peak +1.3 MiB).
+    br = table.bruhat.sum(axis=1, dtype=np.int64)
     polys = [None] * 4
     if depth != "counts":
-        polys = [columns.weak, columns.bruhat, columns.product, columns.distance]
+        polys = [table.weak, table.bruhat, table.product, table.distance]
     return _Fields(
-        columns.code,
-        columns.code.sum(axis=1, dtype=np.int64),
-        columns.prod.astype(np.int64),
-        columns.wk.astype(np.int64),
-        columns.bruhat.sum(axis=1, dtype=np.int64),
-        columns.ao.astype(np.int64),
-        columns.rk.astype(np.int64),
-        columns.avoids((PATTERN_231,)),
-        columns.avoids((PATTERN_312,)),
-        columns.avoids(REGION_BRUHAT_EQUALITY_PATTERNS),
-        columns.avoids(POINCARE_MATCH_PATTERNS),
-        columns.ferrers,
+        table.code,
+        table.code.sum(axis=1, dtype=np.int64),
+        table.prod.astype(np.int64),
+        table.wk.astype(np.int64),
+        br,
+        table.ao.astype(np.int64),
+        table.rk.astype(np.int64),
+        table.avoids((PATTERN_231,)),
+        table.avoids((PATTERN_312,)),
+        table.avoids(REGION_BRUHAT_EQUALITY_PATTERNS),
+        table.avoids(POINCARE_MATCH_PATTERNS),
+        table.ferrers,
         *polys,
-        columns.re.astype(np.int64) if depth == "with_region_oracle" else None,
+        table.re.astype(np.int64) if depth == "with_region_oracle" else None,
     )
 
 
@@ -612,8 +613,6 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
     Each comparison clamps the requested n to the largest size its
     oracle affords; the result rows state the n actually used.
     """
-    from .columns import PATTERNS, group_columns
-
     if n < 1:
         raise ValueError("n must be at least 1")
     results = []
@@ -669,48 +668,48 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
         return "" if re_count == ao else f"regions {re_count} vs orientations {ao}"
 
     def weak_column_body(rank: int, w: Permutation) -> str:
-        column = QPolynomial(group_columns(w.n).weak[rank].tolist())
+        column = QPolynomial(group_table(w.n).weak[rank].tolist())
         route = orders.weak_interval_by_filter(w).poincare
         return "" if column == route else f"column {column} vs filter {route}"
 
     def product_column_body(rank: int, w: Permutation) -> str:
-        column = QPolynomial(group_columns(w.n).product[rank].tolist())
+        column = QPolynomial(group_table(w.n).product[rank].tolist())
         route = orders.product_q_formula(w)
         return "" if column == route else f"column {column} vs product formula {route}"
 
     def distance_column_body(rank: int, w: Permutation) -> str:
-        column = QPolynomial(group_columns(w.n).distance[rank].tolist())
+        column = QPolynomial(group_table(w.n).distance[rank].tolist())
         route = arrangement.distance_of_regions(arrangement.regions(w))
         return "" if column == route else f"column {column} vs region sort {route}"
 
     def region_column_body(rank: int, w: Permutation) -> str:
-        column = int(group_columns(w.n).re[rank])
+        column = int(group_table(w.n).re[rank])
         route = arrangement.regions(w).size
         return "" if column == route else f"column {column} vs region sort {route}"
 
     def orientation_column_body(rank: int, w: Permutation) -> str:
-        column = int(group_columns(w.n).ao[rank])
+        column = int(group_table(w.n).ao[rank])
         route = arrangement.count_acyclic_orientations(arrangement.inversion_graph(w))
         return "" if column == route else f"column {column} vs color partitions {route}"
 
     def rook_column_body(rank: int, w: Permutation) -> str:
-        columns = group_columns(w.n)
+        table = group_table(w.n)
         diagram = rook.southwest_diagram(w)
         route = rook.count_rook_placements_by_backtracking(diagram.complement())
-        if int(columns.rk[rank]) != route:
-            return f"column {int(columns.rk[rank])} vs backtracking {route}"
-        if bool(columns.ferrers[rank]) != rook.is_right_justified_ferrers(diagram):
+        if int(table.rk[rank]) != route:
+            return f"column {int(table.rk[rank])} vs backtracking {route}"
+        if bool(table.ferrers[rank]) != rook.is_right_justified_ferrers(diagram):
             return "Ferrers column disagrees with the diagram"
         return ""
 
     def pattern_column_body(rank: int, w: Permutation) -> str:
-        column = group_columns(w.n).contains[:, rank].tolist()
+        column = group_table(w.n).contains[:, rank].tolist()
         route = [contains_pattern(w, p) for p in PATTERNS]
         return "" if column == route else f"column {column} vs backtracking {route}"
 
     def bruhat_column_body(rank: int, w: Permutation) -> str:
-        column = group_columns(w.n).bruhat[rank].tolist()
         table = group_table(w.n)
+        column = table.bruhat[rank].tolist()
         lengths = table.inv[table.bruhat_below(w.word)]
         route = np.bincount(lengths, minlength=len(column)).tolist()
         return "" if column == route else f"column {column} vs essential filter {route}"

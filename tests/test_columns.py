@@ -23,14 +23,13 @@ import numpy as np
 import pytest
 
 from invarr import arrangement, cli, columns, orders, rook, verify
-from invarr.columns import PATTERNS, group_columns
+from invarr.columns import PATTERNS, group_table
 from invarr.perm import (
     PATTERN_231,
     PATTERN_312,
     Permutation,
     code_product,
     contains_pattern,
-    group_table,
     iter_words,
     lehmer_code,
     unrank_lex,
@@ -60,19 +59,19 @@ def _route_values(w: Permutation) -> tuple:
 
 
 def _column_values(n: int, rank: int) -> tuple:
-    columns = group_columns(n)
+    table = group_table(n)
     return (
-        tuple(columns.code[rank].tolist()),
-        int(columns.prod[rank]),
-        int(columns.wk[rank]),
-        int(columns.ao[rank]),
-        int(columns.rk[rank]),
-        tuple(columns.contains[:, rank].tolist()),
-        bool(columns.ferrers[rank]),
-        QPolynomial(columns.weak[rank].tolist()),
-        QPolynomial(columns.product[rank].tolist()),
-        QPolynomial(columns.distance[rank].tolist()),
-        int(columns.re[rank]),
+        tuple(table.code[rank].tolist()),
+        int(table.prod[rank]),
+        int(table.wk[rank]),
+        int(table.ao[rank]),
+        int(table.rk[rank]),
+        tuple(table.contains[:, rank].tolist()),
+        bool(table.ferrers[rank]),
+        QPolynomial(table.weak[rank].tolist()),
+        QPolynomial(table.product[rank].tolist()),
+        QPolynomial(table.distance[rank].tolist()),
+        int(table.re[rank]),
     )
 
 
@@ -93,7 +92,7 @@ def test_every_column_matches_its_route_on_an_s8_sample():
 
 def _check_bruhat_rows(n: int, ranks) -> None:
     table = group_table(n)
-    bruhat = group_columns(n).bruhat
+    bruhat = table.bruhat
     assert bruhat.shape == (factorial(n), n * (n - 1) // 2 + 1)
     for rank in ranks:
         below = (table.dom <= table.dom[rank]).all(axis=1)
@@ -115,62 +114,66 @@ def test_bruhat_column_matches_the_full_dominance_compare_on_an_s8_sample():
 
 
 def test_s8_catalan_avoiders_and_rk_equals_ao():
-    columns = group_columns(8)
-    avoids_231 = columns.avoids((PATTERN_231,))
-    avoids_312 = columns.avoids((PATTERN_312,))
+    table = group_table(8)
+    avoids_231 = table.avoids((PATTERN_231,))
+    avoids_312 = table.avoids((PATTERN_312,))
     assert int(avoids_231.sum()) == int(avoids_312.sum()) == 1430
     assert int((avoids_231 & avoids_312).sum()) == 2**7
-    assert np.array_equal(columns.rk, columns.ao)
-    assert len(columns.rk) == factorial(8)
+    assert np.array_equal(table.rk, table.ao)
+    assert len(table.rk) == factorial(8)
 
 
 def test_ao_column_matches_networkx_chromatic_polynomial():
     nx = pytest.importorskip("networkx")
     graphs = 0
     for n in (4, 5):
-        columns = group_columns(n)
+        table = group_table(n)
         for rank, word in enumerate(iter_words(n)):
             graph = nx.Graph()
             graph.add_nodes_from(range(1, n + 1))
             graph.add_edges_from(arrangement.inversion_graph(Permutation(word)).edges)
             chi = nx.chromatic_polynomial(graph)
             (x,) = chi.free_symbols
-            assert abs(int(chi.subs(x, -1))) == int(columns.ao[rank]), word
+            assert abs(int(chi.subs(x, -1))) == int(table.ao[rank]), word
             graphs += 1
     assert graphs == 144
 
 
 def test_read_only_cached_and_bounded():
     for n in range(1, 8):
-        columns = group_columns(n)
-        assert group_columns(n) is columns
+        table = group_table(n)
+        assert group_table(n) is table
         polynomials = ("weak", "bruhat", "product", "distance")
-        for name in polynomials + ("code", "prod", "wk", "ao", "rk", "re", "contains", "ferrers"):
-            array = getattr(columns, name)
-            assert getattr(columns, name) is array, name
+        matrices = polynomials + ("words", "dom", "code")
+        vectors = ("masks", "inv", "prod", "wk", "ao", "rk", "re", "contains", "ferrers")
+        for name in matrices + vectors:
+            array = getattr(table, name)
+            assert getattr(table, name) is array, name
             assert not array.flags.writeable, name
-            rows = array.shape[0] if name in polynomials + ("code",) else array.shape[-1]
+            rows = array.shape[0] if name in matrices else array.shape[-1]
             assert rows == factorial(n), name
-        assert columns.code.dtype == np.uint8 and columns.contains.dtype == bool
+        assert table.code.dtype == np.uint8 and table.contains.dtype == bool
         for name in polynomials:
-            array = getattr(columns, name)
+            array = getattr(table, name)
             assert array.shape[1] == n * (n - 1) // 2 + 1, name
             assert array.dtype == np.uint16, name
         for name in ("prod", "wk", "ao", "rk", "re"):
-            assert getattr(columns, name).dtype == np.int32, name
-    assert group_columns.cache_info().maxsize == 8
+            assert getattr(table, name).dtype == np.int32, name
+    assert group_table.cache_info().maxsize == 8
     for n in (0, 9):
         with pytest.raises(ValueError, match="n <= 8"):
-            group_columns(n)
+            group_table(n)
 
 
 def test_stat_record_and_the_cli_build_no_columns(capsys):
-    group_columns.cache_clear()
+    group_table.cache_clear()
     w = Permutation((3, 1, 4, 8, 5, 2, 7, 6))
     record = verify.stat_record(w, "with_region_oracle")
     assert cli.run(["stats", "31485276", "--format", "json"]) == 0
     capsys.readouterr()
-    assert group_columns.cache_info().currsize == 0
+    # only the arrays of the per-record routes, and no smaller group
+    assert set(vars(group_table(8))) == {"n", "words", "masks", "inv", "dom"}
+    assert group_table.cache_info().currsize == 1
     assert (record.wk, record.ao, record.rk) == _route_values(w)[2:5]
 
 
@@ -207,8 +210,8 @@ def test_weak_poly_at_one_equals_the_weak_column():
     # wk is the row sum of the weak column, so compare both with the
     # breadth-first search of weak order, which shares no arithmetic with it
     for n in range(1, 7):
-        weak = group_columns(n).weak
-        wk = group_columns(n).wk.tolist()
+        weak = group_table(n).weak
+        wk = group_table(n).wk.tolist()
         for rank, word in enumerate(iter_words(n)):
             interval = orders.weak_interval(Permutation(word))
             assert wk[rank] == interval.size, word
@@ -251,13 +254,13 @@ def test_lookup_ranks_match_lehmer_codes_on_seeded_draws(n):
 
 def test_only_the_depths_past_counts_build_their_columns():
     lazy = {"product", "distance", "re"}
-    group_columns.cache_clear()
+    group_table.cache_clear()
     verify.sweep(6)
-    assert not lazy & set(vars(group_columns(6)))
+    assert not lazy & set(vars(group_table(6)))
     verify.sweep(6, "polys")
-    assert lazy & set(vars(group_columns(6))) == {"product", "distance"}
+    assert lazy & set(vars(group_table(6))) == {"product", "distance"}
     verify.sweep(6, "with_region_oracle")
-    assert lazy <= set(vars(group_columns(6)))
+    assert lazy <= set(vars(group_table(6)))
 
 
 def test_no_rank_table_outlives_the_column_build(monkeypatch):
@@ -270,8 +273,20 @@ def test_no_rank_table_outlives_the_column_build(monkeypatch):
         return tables
 
     monkeypatch.setattr(columns, "_rank_tables", recording)
-    group_columns.cache_clear()
-    group_columns(8)
+    group_table.cache_clear()
+    table = group_table(8)
+    for name in ("weak", "ao", "contains", "distance"):
+        getattr(table, name)
     gc.collect()
-    assert len(built) == sum(n + 1 for n in range(1, 9))  # the tables of S1..S8
+    # each of these columns of S8, and the ao, containment and distance
+    # columns of S1..S7 they read, builds its own tables of k + 1 lengths
+    assert len(built) == 4 * 9 + 3 * sum(k + 1 for k in range(1, 8))
     assert all(ref() is None for ref in built)
+
+
+def test_a_sweep_builds_no_unread_column_of_the_smaller_groups():
+    group_table.cache_clear()
+    verify.sweep(7)
+    unread = {"bruhat", "rk", "weak", "wk", "code", "prod", "ferrers", "dom"}
+    for n in range(1, 7):
+        assert not unread & set(vars(group_table(n))), n

@@ -7,8 +7,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from invarr import perm
+from invarr import columns
 from invarr.arrangement import distance_enumerator
+from invarr.columns import group_table
 from invarr.perm import (
     PATTERN_231,
     PATTERN_312,
@@ -20,7 +21,6 @@ from invarr.perm import (
     avoids_all,
     code_product,
     contains_pattern,
-    group_table,
     inverse,
     inversion_count,
     inversion_mask,
@@ -323,7 +323,7 @@ class TestGroupTable:
 
     def test_uint32_masks_refuse_more_than_32_pairs(self, monkeypatch):
         # C(9, 2) = 36 slots would wrap; a raised cap must fail before building
-        monkeypatch.setattr(perm, "MAX_TABLE_N", 9)
+        monkeypatch.setattr(columns, "MAX_TABLE_N", 9)
         with pytest.raises(ValueError, match="32 pair slots"):
             group_table.__wrapped__(9)
 

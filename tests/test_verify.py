@@ -1,5 +1,6 @@
 """Unit tests for the sweep harness, its records, and report emission."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -307,16 +308,16 @@ class TestWholeGroupChecks:
 
     @staticmethod
     def _tamper_ao(monkeypatch, ranks):
-        """Make group_columns(5) return a copy with ao raised by one at ``ranks``."""
-        from invarr import columns
-
-        original = columns.group_columns
+        """Make the sweep read a copy of group_table(5) with ao raised by one
+        at ``ranks``."""
+        original = verify.group_table
         clean = original(5)
+        tampered = copy.copy(clean)
         ao = clean.ao.copy()
         ao[ranks] += 1
-        tampered = dataclasses.replace(clean, ao=ao)
+        vars(tampered)["ao"] = ao  # a cached array is an instance attribute
         monkeypatch.setattr(
-            columns, "group_columns", lambda n: tampered if n == 5 else original(n)
+            verify, "group_table", lambda n: tampered if n == 5 else original(n)
         )
 
     def test_failing_rank_violations_are_pinned(self, monkeypatch):
