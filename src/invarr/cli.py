@@ -40,7 +40,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     w = _parse_word_args(args.w)
     record = verify.stat_record(w, depth=args.depth)
     if args.format == "json":
-        print(json.dumps(record.to_json_dict()))
+        print(verify._record_json(record))
         return 0
     re_text = "-" if record.re is None else str(record.re)
     print(f"w={' '.join(str(v) for v in record.w)}")
@@ -103,17 +103,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     start = time.perf_counter()
     report = verify.sweep(args.n, depth=args.depth)
+    emit_start = time.perf_counter()
     payload = verify.emit_report(report, format=args.format)
     if args.output:
         Path(args.output).write_bytes(payload)
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
-    seconds = time.perf_counter() - start
+    end = time.perf_counter()
+    seconds = end - start
     print(
         f"n={report.n} depth={report.depth} records={len(report.records)} "
         f"violations={len(report.violations)} seconds={seconds:.3f} "
-        f"records_per_s={len(report.records) / seconds:.0f}",
+        f"emit_s={end - emit_start:.3f} records_per_s={len(report.records) / seconds:.0f}",
         file=sys.stderr,
     )
     return 1 if report.violations else 0

@@ -52,6 +52,13 @@ At depths ``polys`` and ``with_region_oracle`` every record gets its
 four polynomials; only ``with_region_oracle`` also reports the region
 count ``re``.
 
+``emit_report`` writes each record once, as a string, from one ``%``
+template per format (``_record_json``, ``_record_csv``), and joins those
+strings into the report.  ``StatRecord.to_json_dict`` stays the
+definition of a record's JSON: the JSON template must reproduce
+``json.dumps`` of it byte for byte, and the violations, which are rare,
+keep their dicts and go through ``json.dumps`` itself.
+
 >>> report = sweep(3, depth="with_region_oracle")
 >>> [r.wk for r in report.records]
 [1, 2, 2, 3, 3, 6]
@@ -546,36 +553,74 @@ CSV_HEADER = (
     "avoids_3412_4231,weak_poly,bruhat_poly,product_poly,distance_poly"
 )
 
+# One template per record and format, its fields in ``to_json_dict`` order.
+# The JSON one fills in what ``json.dumps(record.to_json_dict())`` would
+# write: lists as ``str(list)``, whose ", " separators are json's too.
+_RECORD_JSON = (
+    '{"w": %s, "inv": %d, "code": %s, "prod": %d, "wk": %d, "br": %d, '
+    '"ao": %d, "rk": %d, "re": %s, "avoids_231_312": %s, "avoids_four": %s, '
+    '"avoids_3412_4231": %s, "weak_poly": %s, "bruhat_poly": %s, '
+    '"product_poly": %s, "distance_poly": %s}'
+)
+_RECORD_CSV = '"%s",%d,"%s",%d,%d,%d,%d,%d,%s,%s,%s,%s,%s,%s,%s,%s'
+_FLAG = {False: "false", True: "true"}
 
-def _csv_list(values) -> str:
-    return '"' + " ".join(str(v) for v in values) + '"'
+
+def _record_json(record: StatRecord) -> str:
+    """``json.dumps(record.to_json_dict())``, from one template.
+
+    >>> record = stat_record(Permutation((2, 1)), depth="polys")
+    >>> _record_json(record) == json.dumps(record.to_json_dict())
+    True
+    """
+    r = record
+    return _RECORD_JSON % (
+        str(list(r.w)),
+        r.inv,
+        str(list(r.code)),
+        r.prod,
+        r.wk,
+        r.br,
+        r.ao,
+        r.rk,
+        "null" if r.re is None else "%d" % r.re,
+        _FLAG[r.avoids_231_312],
+        _FLAG[r.avoids_four],
+        _FLAG[r.avoids_3412_4231],
+        "null" if r.weak_poly is None else str(r.weak_poly.to_list()),
+        "null" if r.bruhat_poly is None else str(r.bruhat_poly.to_list()),
+        "null" if r.product_poly is None else str(r.product_poly.to_list()),
+        "null" if r.distance_poly is None else str(r.distance_poly.to_list()),
+    )
 
 
-def _csv_opt_poly(p: QPolynomial | None) -> str:
-    return "" if p is None else _csv_list(p.coeffs)
+# A CSV list is the tuple's repr without its parentheses and commas:
+# "(3, 1, 2)" gives "3 1 2", and a 1-tuple's "(1,)" gives "1".  It is
+# faster than " ".join(map(str, values)).
+def _csv_poly(p: QPolynomial | None) -> str:
+    return "" if p is None else '"%s"' % str(p.coeffs)[1:-1].replace(",", "")
 
 
-def _csv_row(record: StatRecord) -> str:
-    bool_ = lambda b: "true" if b else "false"
-    return ",".join(
-        [
-            _csv_list(record.w),
-            str(record.inv),
-            _csv_list(record.code),
-            str(record.prod),
-            str(record.wk),
-            str(record.br),
-            str(record.ao),
-            str(record.rk),
-            "" if record.re is None else str(record.re),
-            bool_(record.avoids_231_312),
-            bool_(record.avoids_four),
-            bool_(record.avoids_3412_4231),
-            _csv_opt_poly(record.weak_poly),
-            _csv_opt_poly(record.bruhat_poly),
-            _csv_opt_poly(record.product_poly),
-            _csv_opt_poly(record.distance_poly),
-        ]
+def _record_csv(record: StatRecord) -> str:
+    """One CSV row: lists space-separated inside quotes, absent fields empty."""
+    r = record
+    return _RECORD_CSV % (
+        str(r.w)[1:-1].replace(",", ""),
+        r.inv,
+        str(r.code)[1:-1].replace(",", ""),
+        r.prod,
+        r.wk,
+        r.br,
+        r.ao,
+        r.rk,
+        "" if r.re is None else "%d" % r.re,
+        _FLAG[r.avoids_231_312],
+        _FLAG[r.avoids_four],
+        _FLAG[r.avoids_3412_4231],
+        _csv_poly(r.weak_poly),
+        _csv_poly(r.bruhat_poly),
+        _csv_poly(r.product_poly),
+        _csv_poly(r.distance_poly),
     )
 
 
@@ -585,20 +630,25 @@ def emit_report(report: SweepReport, format: str = "json") -> bytes:
     JSON carries records, violations, and class counts; CSV carries the
     records alone, one row per permutation in lexicographic order, with
     list-valued fields space-separated inside quotes and absent fields
-    empty.
+    empty.  Each record is written once, as a string, from one template
+    per format; the JSON bytes are those of ``json.dumps`` over the
+    records' ``to_json_dict``, and the violations, which are rare and
+    keep their dicts, go through ``json.dumps`` itself.
     """
     if format == "json":
-        doc = {
-            "n": report.n,
-            "depth": report.depth,
-            "records": [r.to_json_dict() for r in report.records],
-            "violations": list(report.violations),
-            "class_counts": report.class_counts,
-        }
-        return (json.dumps(doc, check_circular=False) + "\n").encode("utf-8")
+        return (
+            '{"n": %d, "depth": %s, "records": [%s], "violations": %s, '
+            '"class_counts": %s}\n'
+            % (
+                report.n,
+                json.dumps(report.depth),
+                ", ".join(map(_record_json, report.records)),
+                json.dumps(list(report.violations), check_circular=False),
+                json.dumps(report.class_counts),
+            )
+        ).encode("utf-8")
     if format == "csv":
-        lines = [CSV_HEADER]
-        lines.extend(_csv_row(record) for record in report.records)
+        lines = [CSV_HEADER, *map(_record_csv, report.records)]
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
 

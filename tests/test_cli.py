@@ -142,7 +142,7 @@ class TestSweep:
         summary = captured.err.decode()
         assert re.fullmatch(
             r"n=3 depth=polys records=6 violations=0 seconds=\d+\.\d{3} "
-            r"records_per_s=\d+\n",
+            r"emit_s=\d+\.\d{3} records_per_s=\d+\n",
             summary,
         ), summary
         assert int(summary.split("records_per_s=")[1]) > 0

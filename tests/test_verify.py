@@ -1,9 +1,12 @@
 """Unit tests for the sweep harness, its records, and report emission."""
 
 import copy
+import csv
 import dataclasses
+import io
 import json
 import os
+import random
 from math import factorial
 
 import numpy as np
@@ -283,6 +286,20 @@ def _recount_classes(report):
     return counts
 
 
+def _tamper_ao(monkeypatch, ranks):
+    """Make the sweep read a copy of group_table(5) with ao raised by one
+    at ``ranks``."""
+    original = verify.group_table
+    clean = original(5)
+    tampered = copy.copy(clean)
+    ao = clean.ao.copy()
+    ao[ranks] += 1
+    vars(tampered)["ao"] = ao  # a cached array is an instance attribute
+    monkeypatch.setattr(
+        verify, "group_table", lambda n: tampered if n == 5 else original(n)
+    )
+
+
 class TestWholeGroupChecks:
     @pytest.mark.parametrize("depth", verify.DEPTHS)
     def test_class_counts_match_a_per_record_recount(self, depth):
@@ -306,22 +323,8 @@ class TestWholeGroupChecks:
         verify.sweep(5, depth)
         assert calls == ["_record_checks", "_update_class_counts"]
 
-    @staticmethod
-    def _tamper_ao(monkeypatch, ranks):
-        """Make the sweep read a copy of group_table(5) with ao raised by one
-        at ``ranks``."""
-        original = verify.group_table
-        clean = original(5)
-        tampered = copy.copy(clean)
-        ao = clean.ao.copy()
-        ao[ranks] += 1
-        vars(tampered)["ao"] = ao  # a cached array is an instance attribute
-        monkeypatch.setattr(
-            verify, "group_table", lambda n: tampered if n == 5 else original(n)
-        )
-
     def test_failing_rank_violations_are_pinned(self, monkeypatch):
-        self._tamper_ao(monkeypatch, [33])  # w = 23451
+        _tamper_ao(monkeypatch, [33])  # w = 23451
         record = {
             "w": [2, 3, 4, 5, 1],
             "inv": 4,
@@ -376,7 +379,7 @@ class TestWholeGroupChecks:
         ]
 
     def test_violations_come_by_rank_then_table_order(self, monkeypatch):
-        self._tamper_ao(monkeypatch, [60, 33])  # w = 34125 and 23451
+        _tamper_ao(monkeypatch, [60, 33])  # w = 34125 and 23451
         checks = ["ao_eq_rk", "re_le_br", "re_eq_br_iff_avoids_four"]
         report = verify.sweep(5)
         assert [(v["rank"], v["check"]) for v in report.violations] == [
@@ -532,6 +535,73 @@ class TestEmitReport:
     def test_format_validation(self):
         with pytest.raises(ValueError, match="format must be"):
             verify.emit_report(verify.sweep(1), format="xml")
+
+
+def _json_report_by_dicts(report):
+    """The JSON report as ``json.dumps`` of one dict per record: the oracle of
+    the template writer."""
+    doc = {
+        "n": report.n,
+        "depth": report.depth,
+        "records": [r.to_json_dict() for r in report.records],
+        "violations": list(report.violations),
+        "class_counts": report.class_counts,
+    }
+    return (json.dumps(doc) + "\n").encode("utf-8")
+
+
+def _csv_cell(value):
+    """A ``to_json_dict`` value as the CSV writes it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+class TestRecordWriters:
+    """The template writers against ``json.dumps`` and the stdlib ``csv``
+    reader, which know nothing of the templates."""
+
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_record_json_is_json_dumps_of_the_dict(self, depth):
+        for n in range(1, 7):
+            for record in verify.sweep(n, depth).records:
+                assert verify._record_json(record) == json.dumps(record.to_json_dict())
+        rng = random.Random(1408)
+        words = [Permutation.identity(8), Permutation.longest(8)]
+        words += [Permutation(tuple(rng.sample(range(1, 9), 8))) for _ in range(16)]
+        for w in words:
+            record = verify.stat_record(w, depth)
+            assert verify._record_json(record) == json.dumps(record.to_json_dict()), w
+
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_json_report_with_violations_matches_the_dict_oracle(
+        self, monkeypatch, depth
+    ):
+        _tamper_ao(monkeypatch, [33])  # w = 23451
+        report = verify.sweep(5, depth)
+        assert report.violations
+        assert verify.emit_report(report, "json") == _json_report_by_dicts(report)
+
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_s1_json_report_matches_the_dict_oracle(self, depth):
+        report = verify.sweep(1, depth)
+        assert verify.emit_report(report, "json") == _json_report_by_dicts(report)
+
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_csv_rows_parse_back_to_the_dicts(self, depth):
+        for n in range(1, 7):
+            report = verify.sweep(n, depth)
+            text = verify.emit_report(report, "csv").decode()
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+            assert rows[0] == RECORD_KEYS
+            assert len(rows) == len(report.records) + 1
+            for row, record in zip(rows[1:], report.records):
+                expected = [_csv_cell(v) for v in record.to_json_dict().values()]
+                assert row == expected, record.w
 
 
 class TestOracleChecks:
