@@ -137,7 +137,6 @@ class TestStatRecord:
 
     @pytest.mark.parametrize("depth", verify.DEPTHS)
     def test_weak_filter_runs_once_per_record(self, monkeypatch, depth):
-        expected = verify.sweep(5, depth).records
         original = orders.weak_interval_by_filter
         calls = []
 
@@ -146,10 +145,13 @@ class TestStatRecord:
             return original(w, *args, **kwargs)
 
         monkeypatch.setattr(orders, "weak_interval_by_filter", counting)
-        for word, swept in zip(iter_words(5), expected):
-            calls.clear()
-            assert verify.stat_record(Permutation(word), depth) == swept, word
-            assert calls == [word]
+        # S6 is the first group that holds a six-letter pattern of a bundle
+        # (351624), so n = 6 compares that path with the sweep's record.
+        for n in (5, 6):
+            for word, swept in zip(iter_words(n), verify.sweep(n, depth).records):
+                calls.clear()
+                assert verify.stat_record(Permutation(word), depth) == swept, word
+                assert calls == [word]
 
 
 def _one_record_fields(record):
@@ -258,9 +260,21 @@ class TestRecordChecks:
 def _recount_classes(report):
     """The class counts of ``report``, recounted one record at a time with
     the 231, 312 and Ferrers flags by backtracking and from the diagram."""
-    keys = verify.CLASS_KEYS
+    keys = [
+        "re_eq_wk",
+        "wk_eq_prod",
+        "prod_eq_rk",
+        "re_eq_br",
+        "wk_eq_br",
+        "avoids_231",
+        "avoids_312",
+        "avoids_231_312",
+        "avoids_four",
+        "avoids_3412_4231",
+        "ferrers_312_containing",
+    ]
     if report.depth != "counts":
-        keys += verify.POLY_CLASS_KEYS
+        keys.append("weak_poly_eq_product_poly_231_containing")
     counts = dict.fromkeys(keys, 0)
     for record in report.records:
         w = Permutation(record.w)
