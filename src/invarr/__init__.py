@@ -1,6 +1,6 @@
 """Statistics of permutation inversion arrangements.
 
-Five quantities attached to a permutation w of {1..n}:
+Six quantities attached to a permutation w of {1..n}:
 
     wk(w)    elements below w in left weak order
     br(w)    elements below w in Bruhat order
@@ -30,7 +30,6 @@ from .orders import (
     IntervalSummary,
     bruhat_interval,
     bruhat_interval_by_chains,
-    bruhat_leq,
     code_monotone_check,
     product_q_formula,
     weak_interval,
@@ -51,16 +50,13 @@ from .perm import (
     contains_pattern,
     inverse,
     inversion_set,
-    is_inversion_set,
     lehmer_code,
     parse_permutation,
-    reverse_complement,
     unrank_lex,
 )
 from .qpoly import QPolynomial
 from .rook import (
     Board,
-    complement_row_freedom,
     count_rook_placements,
     count_rook_placements_by_backtracking,
     is_right_justified_ferrers,
@@ -98,11 +94,9 @@ __all__ = [
     "avoids_all",
     "bruhat_interval",
     "bruhat_interval_by_chains",
-    "bruhat_leq",
     "chromatic_polynomial",
     "code_monotone_check",
     "code_product",
-    "complement_row_freedom",
     "contains_pattern",
     "count_acyclic_orientations",
     "count_acyclic_orientations_by_enumeration",
@@ -114,14 +108,12 @@ __all__ = [
     "inverse",
     "inversion_graph",
     "inversion_set",
-    "is_inversion_set",
     "is_right_justified_ferrers",
     "lehmer_code",
     "oracle_checks",
     "parse_permutation",
     "product_q_formula",
     "regions",
-    "reverse_complement",
     "rook_count",
     "southwest_diagram",
     "stat_record",

@@ -13,8 +13,8 @@ Regions are enumerated combinatorially: a region is determined by its
 sign vector over the inverted pairs, and the achievable sign vectors are
 exactly the restrictions I(u) & I(w) over all permutations u.  They are
 kept as the distinct uint32 inversion masks left by one sort of the
-whole-group table (``columns.group_table``, n <= 8); only
-``RegionSet.signs`` compacts them onto the inverted pairs.  The base
+whole-group table (``columns.group_table``, n <= 8), with no compaction
+onto the inverted pairs.  The base
 region is the identity chamber x_1 < x_2 < ... < x_n (mask 0); a
 region's distance is the number of hyperplanes separating it from the
 base, the popcount of its mask, so the distance enumerator of the full
@@ -42,7 +42,6 @@ import numpy as np
 
 from .columns import group_table
 from .perm import (
-    InversionSet,
     Permutation,
     inversion_mask,
     inversion_set,
@@ -229,9 +228,7 @@ class RegionSet:
     restrictions I(u) & I(w) over u in S_n, in the slots of
     ``pair_slot``.  A region's distance from the base region (identity
     chamber, mask 0) is its number of separating hyperplanes, the
-    popcount of its mask.  ``signs`` compacts the masks onto the
-    inverted pairs in lexicographic pair order: bit t is 1 when
-    x_i > x_j on the region for the t-th inverted pair (i, j).
+    popcount of its mask.
     """
 
     n: int
@@ -241,22 +238,6 @@ class RegionSet:
     @property
     def size(self) -> int:
         return len(self.masks)
-
-    @property
-    def hyperplanes(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(InversionSet(self.n, self.target).pairs()))
-
-    @property
-    def signs(self) -> frozenset[int]:
-        # compact the sign bits onto the inverted pairs, one slot at a time
-        signs = np.zeros_like(self.masks)
-        slots = [slot for slot in range(self.target.bit_length()) if self.target >> slot & 1]
-        for t, slot in enumerate(slots):
-            signs |= (self.masks >> np.uint32(slot) & np.uint32(1)) << np.uint32(t)
-        return frozenset(signs.tolist())
-
-    def distances(self) -> tuple[int, ...]:
-        return tuple(np.sort(popcounts(self.masks)).tolist())
 
 
 def regions(w: Permutation) -> RegionSet:

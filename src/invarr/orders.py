@@ -11,10 +11,9 @@ the same interval is also a filter of the whole-group table
 ``verify.stat_record``, which the BFS checks.
 Bruhat intervals filter the same table by its dominance counts, read
 only on the columns of Fulton's essential set of w0 w
-(``GroupTable.bruhat_below``); ``bruhat_leq`` compares one pair by
-sorted prefixes, and a slow chain-closure oracle implements the
-definition directly (downward transposition steps, each strictly
-dropping the inversion count) for cross-validation.
+(``GroupTable.bruhat_below``), and a slow chain-closure oracle
+implements the definition directly (downward transposition steps, each
+strictly dropping the inversion count) for cross-validation.
 
 >>> w = Permutation((2, 5, 1, 3, 4))
 >>> weak_interval(w).size
@@ -27,7 +26,6 @@ dropping the inversion count) for cross-validation.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +66,12 @@ class IntervalSummary:
 
     size: int
     poincare: QPolynomial
-    max_length: int
     elements: tuple[Permutation, ...] | None = None
+
+    @property
+    def max_length(self) -> int:
+        """inv(w): w is the one element of top length."""
+        return self.poincare.degree
 
 
 def _require_same_n(u: Permutation, w: Permutation) -> None:
@@ -153,13 +155,12 @@ def weak_interval(w: Permutation, with_elements: bool = False) -> IntervalSummar
     return IntervalSummary(
         size=len(visited),
         poincare=QPolynomial(tuple(level_sizes)),
-        max_length=target.bit_count(),
         elements=elements,
     )
 
 
 def _table_interval(
-    table: GroupTable, below: np.ndarray, max_length: int, with_elements: bool
+    table: GroupTable, below: np.ndarray, with_elements: bool
 ) -> IntervalSummary:
     """Summarize the table rows selected by the boolean mask ``below``.
 
@@ -168,7 +169,6 @@ def _table_interval(
     return IntervalSummary(
         size=int(np.count_nonzero(below)),
         poincare=length_polynomial(table.inv[below]),
-        max_length=max_length,
         elements=(
             tuple(Permutation(tuple(u)) for u in table.words[below].tolist())
             if with_elements
@@ -184,37 +184,9 @@ def weak_interval_by_filter(w: Permutation, with_elements: bool = False) -> Inte
     1 + q + 2q^2 + 2q^3 + q^4
     """
     table = group_table(w.n)
-    target = inversion_mask(w.word)
     return _table_interval(
-        table, table.weak_below(target), target.bit_count(), with_elements
+        table, table.weak_below(inversion_mask(w.word)), with_elements
     )
-
-
-def _bruhat_leq_words(u: Word, w: Word) -> bool:
-    """Sorted-prefix dominance: every descending k-prefix of u is
-    entrywise <= that of w; equivalently compare ascending sorted prefixes."""
-    n = len(u)
-    au: list[int] = []
-    aw: list[int] = []
-    for k in range(n - 1):
-        bisect.insort(au, u[k])
-        bisect.insort(aw, w[k])
-        for a, b in zip(au, aw):
-            if a > b:
-                return False
-    return True
-
-
-def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat order via the prefix dominance criterion.
-
-    >>> bruhat_leq(Permutation((2, 1, 3, 4, 5)), Permutation((2, 5, 1, 3, 4)))
-    True
-    >>> bruhat_leq(Permutation((3, 2, 1)), Permutation((2, 3, 1)))
-    False
-    """
-    _require_same_n(u, w)
-    return _bruhat_leq_words(u.word, w.word)
 
 
 def bruhat_interval(w: Permutation, with_elements: bool = False) -> IntervalSummary:
@@ -227,12 +199,7 @@ def bruhat_interval(w: Permutation, with_elements: bool = False) -> IntervalSumm
     ['123', '132', '213', '312']
     """
     table = group_table(w.n)
-    return _table_interval(
-        table,
-        table.bruhat_below(w.word),
-        inversion_mask(w.word).bit_count(),
-        with_elements,
-    )
+    return _table_interval(table, table.bruhat_below(w.word), with_elements)
 
 
 def bruhat_interval_by_chains(w: Permutation, with_elements: bool = False) -> IntervalSummary:
@@ -267,7 +234,6 @@ def bruhat_interval_by_chains(w: Permutation, with_elements: bool = False) -> In
     return IntervalSummary(
         size=len(visited),
         poincare=length_polynomial([inversion_mask(word).bit_count() for word in visited]),
-        max_length=inversion_mask(w.word).bit_count(),
         elements=elements,
     )
 

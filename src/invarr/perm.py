@@ -4,9 +4,8 @@ A permutation is the word (w_1, ..., w_n) of its values; positions and
 values are 1-based at every public boundary.  This module owns the
 vocabulary the rest of the library consumes: inversion sets realized as
 bit masks over the C(n, 2) position pairs, Lehmer codes and their
-products, pattern containment, the transitivity test that
-characterizes which pair sets are inversion sets, bit counts of masks
-and the essential-set conditions of Bruhat order.
+products, pattern containment, bit counts of masks and the
+essential-set conditions of Bruhat order.
 
 The inversion set of w is I(w) = {(i, j) : i < j, w_i > w_j}, a set of
 POSITION pairs.  Pair (i, j) with i < j is assigned the bit slot given
@@ -210,34 +209,6 @@ def inversion_count(w: Permutation) -> int:
     return inversion_mask(w.word).bit_count()
 
 
-def is_inversion_set(s: InversionSet) -> bool:
-    """Whether s is the inversion set of some permutation.
-
-    A pair set is an inversion set exactly when, for every i < j < k:
-    (i, j) and (j, k) present forces (i, k) present, and (i, k) present
-    forces at least one of (i, j), (j, k) present.
-
-    >>> is_inversion_set(InversionSet(3, 0b101))
-    False
-    >>> all(is_inversion_set(inversion_set(Permutation(w)))
-    ...     for w in itertools.permutations(range(1, 5)))
-    True
-    """
-    n, mask = s.n, s.mask
-    index, _ = _pair_tables(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ij = mask >> index[(i, j)] & 1
-            for k in range(j + 1, n + 1):
-                jk = mask >> index[(j, k)] & 1
-                ik = mask >> index[(i, k)] & 1
-                if ij and jk and not ik:
-                    return False
-                if ik and not (ij or jk):
-                    return False
-    return True
-
-
 def lehmer_code(w: Permutation) -> tuple[int, ...]:
     """c_i(w) = #{j > i : w_j < w_i}, the inversions opened at position i.
 
@@ -284,21 +255,6 @@ def inverse(w: Permutation) -> Permutation:
     for pos, val in enumerate(w.word, start=1):
         out[val - 1] = pos
     return Permutation(tuple(out))
-
-
-def reverse_complement(w: Permutation) -> Permutation:
-    """Reverse the word and complement the values: v -> n + 1 - v.
-
-    Containment of a pattern p in w is equivalent to containment of the
-    reverse complement of p in the reverse complement of w.
-
-    >>> str(reverse_complement(Permutation((2, 3, 1))))
-    '312'
-    >>> str(reverse_complement(Permutation((2, 5, 1, 3, 4))))
-    '23514'
-    """
-    n = w.n
-    return Permutation(tuple(n + 1 - v for v in reversed(w.word)))
 
 
 def contains_pattern(w: Permutation, pattern: Permutation) -> bool:

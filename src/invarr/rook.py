@@ -16,8 +16,6 @@ cross-checks.
 (3, 0, 2, 1, 0)
 >>> rook_count(w)
 16
->>> complement_row_freedom(w)
-(2, 5, 3, 4, 5)
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perm import POPCOUNT_16, Permutation, lehmer_code
+from .perm import POPCOUNT_16, Permutation
 from .qpoly import checked_int64
 
 MAX_PERMANENT_N = 12  # at most 16: the column subsets index POPCOUNT_16
@@ -188,16 +186,3 @@ def is_right_justified_ferrers(board: Board) -> bool:
         if mask != ((1 << count) - 1) << (n - count):
             return False
     return True
-
-
-def complement_row_freedom(w: Permutation) -> tuple[int, ...]:
-    """Free columns per row of the complement board: n - a_i(w) = c_i(w) + i.
-
-    >>> complement_row_freedom(Permutation((2, 5, 1, 3, 4)))
-    (2, 5, 3, 4, 5)
-    >>> complement_row_freedom(Permutation.identity(3))
-    (1, 2, 3)
-    """
-    n = w.n
-    code = lehmer_code(w)
-    return tuple(code[i] + i + 1 for i in range(n))

@@ -8,7 +8,9 @@ the six statistics
     prod  product of (Lehmer code entries + 1)
     ao  acyclic orientations of the inversion graph
     rk  rook placements on the complement of the south-west diagram
-    re  regions of the inversion arrangement (filled at full depth)
+    re  regions of the inversion arrangement, filled only at
+        with_region_oracle, where the independent gate count ran; at
+        polys, distance_poly(1) is the region count but re stays None
 
 plus pattern-avoidance flags and, at the deeper settings, the rank
 generating polynomials.  Every stated inequality, equality, and

@@ -23,8 +23,9 @@ from invarr.perm import (
     avoids_all,
     inverse,
     inversion_count,
+    inversion_mask,
     iter_words,
-    length_polynomial,
+    popcounts,
     unrank_lex,
 )
 from invarr.qpoly import QPolynomial
@@ -204,11 +205,11 @@ class TestRegions:
 
     def test_structure(self):
         rs = regions(W25134)
-        assert rs.hyperplanes == ((1, 3), (2, 3), (2, 4), (2, 5))
-        assert 0 in rs.signs
-        assert (1 << len(rs.hyperplanes)) - 1 in rs.signs
-        assert rs.distances() == tuple(sorted(rs.distances()))
-        assert max(rs.distances()) == inversion_count(W25134)
+        masks = rs.masks.tolist()
+        assert rs.target == inversion_mask(W25134.word)
+        assert masks == sorted(set(masks))
+        assert masks[0] == 0 and masks[-1] == rs.target
+        assert int(popcounts(rs.masks).max()) == inversion_count(W25134)
 
     def test_matches_orientation_count(self):
         for n in range(1, 6):
@@ -223,20 +224,17 @@ class TestRegions:
             regions(Permutation.longest(9))
 
     def test_masks_agree_with_the_compacted_signs(self):
-        # size and distances read the uncompacted masks; the compacted
-        # sign vectors are the definition they must agree with
+        # The base chamber (mask 0) and the chamber of w (mask I(w)) are
+        # the first and last of the sorted masks.  The region count and
+        # distances are checked against the re and distance columns by
+        # tests/test_columns.py and the oracle rows.
         rng = random.Random(5)
         words = [w for n in range(1, 8) for w in iter_words(n)]
         words += [unrank_lex(8, r).word for r in (0, factorial(8) - 1)]
         words += [unrank_lex(8, r).word for r in rng.sample(range(factorial(8)), 400)]
         for word in words:
             rs = regions(Permutation(word))
-            signs = rs.signs
-            lengths = sorted(s.bit_count() for s in signs)
-            assert rs.size == len(signs), word
-            assert rs.distances() == tuple(lengths), word
-            assert distance_of_regions(rs) == length_polynomial(lengths), word
-            assert 0 in signs and (1 << len(rs.hyperplanes)) - 1 in signs, word
+            assert rs.masks[0] == 0 and rs.masks[-1] == rs.target, word
 
 
 class TestDistanceEnumerator:

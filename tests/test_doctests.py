@@ -1,9 +1,15 @@
-"""Run every docstring example; they double as frozen regression values."""
+"""Run every docstring example and the README's; they double as frozen
+regression values.  The README's route census and entry-point list must
+name only what exists."""
 
+import dataclasses
 import doctest
+import re
+from pathlib import Path
 
 import pytest
 
+import invarr
 import invarr.arrangement
 import invarr.columns
 import invarr.orders
@@ -11,6 +17,7 @@ import invarr.perm
 import invarr.qpoly
 import invarr.rook
 import invarr.verify
+from invarr import verify
 
 MODULES = [
     invarr.arrangement,
@@ -21,6 +28,10 @@ MODULES = [
     invarr.rook,
     invarr.verify,
 ]
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+# Backticked words of the README prose that name no code: n, w, S_7, S_8.
+MATH = re.compile(r"[nw]|S_\d")
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -28,3 +39,43 @@ def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_readme_examples():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+def _readme_section(start: str, end: str) -> str:
+    text = README.read_text()
+    head = text.index(start) + len(start)
+    return text[head : text.index(end, head)]
+
+
+def _resolves(name: str) -> bool:
+    for root in (invarr, invarr.columns):
+        target = root
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        if target is not None:
+            return True
+    return False
+
+
+def test_readme_names_exist():
+    census = _readme_section("## Route census", "\n## ")
+    known = {field.name for field in dataclasses.fields(invarr.StatRecord)}
+    known |= {result.name for result in invarr.oracle_checks(1)}
+    relations = verify._RELATIONS + verify._REGION_RELATIONS + verify._POLY_RELATIONS
+    known |= {name for name, _, _ in relations}
+    known |= set(verify.DEPTHS)
+    for path in (ROOT / "tests").glob("test_*.py"):
+        known |= set(re.findall(r"def (test_\w+)", path.read_text()))
+    names = re.findall(r"`([A-Za-z_][\w.]*)`", census)
+    assert len(names) > 50
+    for name in names:
+        assert MATH.fullmatch(name) or name in known or _resolves(name), name
+    entry_points = _readme_section("all exported from `invarr`:", "All counting")
+    for name in re.findall(r"`(\w+)", entry_points):
+        assert MATH.fullmatch(name) or name in invarr.__all__, name

@@ -11,7 +11,6 @@ from invarr.orders import (
     MAX_WEAK_STATES,
     bruhat_interval,
     bruhat_interval_by_chains,
-    bruhat_leq,
     code_monotone_check,
     product_q_formula,
     weak_interval,
@@ -164,21 +163,21 @@ class TestWeakBeyondTheGroupTable:
 
 class TestBruhatOrder:
     def test_frozen_comparisons(self):
-        assert bruhat_leq(Permutation((2, 1, 3, 4, 5)), W25134)
-        assert bruhat_leq(Permutation((2, 3, 1, 4, 5)), W25134)
-        assert not bruhat_leq(Permutation.longest(3), Permutation((2, 3, 1)))
-        assert not bruhat_leq(W25134, Permutation((2, 1, 3, 4, 5)))
+        def below(w):
+            return bruhat_interval(w, with_elements=True).elements
 
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mixed sizes"):
-            bruhat_leq(Permutation((1, 2)), Permutation((1, 2, 3)))
+        assert Permutation((2, 1, 3, 4, 5)) in below(W25134)
+        assert Permutation((2, 3, 1, 4, 5)) in below(W25134)
+        assert Permutation.longest(3) not in below(Permutation((2, 3, 1)))
+        assert W25134 not in below(Permutation((2, 1, 3, 4, 5)))
 
     def test_weak_implies_bruhat(self):
         for n in range(1, 7):
             for word in iter_words(n):
                 w = Permutation(word)
-                for u in weak_interval(w, with_elements=True).elements:
-                    assert bruhat_leq(u, w), (u.word, word)
+                weak = weak_interval(w, with_elements=True).elements
+                bruhat = bruhat_interval(w, with_elements=True).elements
+                assert set(weak) <= set(bruhat), word
 
     def test_interval_of_312(self):
         summary = bruhat_interval(Permutation((3, 1, 2)), with_elements=True)

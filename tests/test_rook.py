@@ -15,7 +15,6 @@ from invarr.perm import (
 )
 from invarr.rook import (
     Board,
-    complement_row_freedom,
     count_rook_placements,
     count_rook_placements_by_backtracking,
     is_right_justified_ferrers,
@@ -140,20 +139,3 @@ class TestShape:
                 w = Permutation(word)
                 if not contains_pattern(w, PATTERN_312):
                     assert is_right_justified_ferrers(southwest_diagram(w)), word
-
-
-class TestComplementFreedom:
-    def test_examples(self):
-        assert complement_row_freedom(Permutation.identity(3)) == (1, 2, 3)
-        assert complement_row_freedom(W25134) == (2, 5, 3, 4, 5)
-        assert complement_row_freedom(Permutation.longest(4)) == (4, 4, 4, 4)
-
-    def test_equals_code_plus_row_index(self):
-        for n in range(1, 7):
-            for word in iter_words(n):
-                w = Permutation(word)
-                code = lehmer_code(w)
-                freedom = complement_row_freedom(w)
-                assert freedom == tuple(code[i] + i + 1 for i in range(n))
-                counts = southwest_diagram(w).row_counts()
-                assert freedom == tuple(n - counts[i] for i in range(n))
