@@ -14,6 +14,7 @@ compare, which shares no essential-set arithmetic with it.
 """
 
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -237,6 +238,28 @@ def test_weak_poly_at_one_equals_the_weak_column():
             interval = orders.weak_interval(Permutation(word))
             assert wk[rank] == interval.size, word
             assert QPolynomial(weak[rank].tolist()) == interval.poincare, word
+
+
+# SHA-256 of the whole weak column, pinned so that a change to the
+# recursion's schedule or dtypes must reproduce every coefficient of S7 and S8
+WEAK_COLUMN_SHA256 = {
+    7: "34ac9b23986ee474b53595329979182f7afb2ad12a65bd13f519ddc33ee7163c",
+    8: "25d6ab4ece1a9b0e828f23951d09198c5919e4c620215dc6dd75fbb619102570",
+}
+
+
+@pytest.mark.parametrize("n", sorted(WEAK_COLUMN_SHA256))
+def test_the_weak_column_bytes_are_pinned(n):
+    weak = group_table(n).weak
+    assert weak.dtype == np.uint16 and weak.shape == (factorial(n), n * (n - 1) // 2 + 1)
+    assert hashlib.sha256(weak.tobytes()).hexdigest() == WEAK_COLUMN_SHA256[n]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_weak_row_of_w0_is_the_mahonian_numbers(n):
+    # [e, w0] in left weak order is all of S_n
+    table = group_table(n)
+    assert table.weak[-1].tolist() == np.bincount(table.inv).tolist()
 
 
 def _lehmer_rank(word: tuple[int, ...]) -> int:
