@@ -231,8 +231,6 @@ class RegionSet:
     popcount of its mask.
     """
 
-    n: int
-    target: int  # the mask of I(w)
     masks: np.ndarray  # (regions,) uint32, sorted
 
     @property
@@ -253,8 +251,7 @@ def regions(w: Permutation) -> RegionSet:
     >>> regions(Permutation.longest(3)).size
     6
     """
-    target = inversion_mask(w.word)
-    return RegionSet(w.n, target, group_table(w.n).region_signs(target))
+    return RegionSet(group_table(w.n).region_signs(inversion_mask(w.word)))
 
 
 def distance_of_regions(rs: RegionSet) -> QPolynomial:

@@ -100,6 +100,11 @@ MAX_TABLE_N = 8
 # Words per AND pass of the Bruhat column: 256 rows of bitsets are 1.3 MB
 # at n = 8, and the whole index 3.0 MB.
 _BRUHAT_CHUNK = 256
+# Words per pass of the weak recursion's term listing: 2048 words of S_8
+# have at most 38944 terms, so a pass's temporaries stay near 300 KB and
+# are reused from the heap; one pass over S_8 left the peak of a later
+# S8 ``counts`` sweep 8 MiB higher.
+_WEAK_CHUNK = 2048
 # Words per pass of the gate count: 512 rows of fits of the 4140 distinct
 # lower-wall sets of S_8 are 8.5 MB as uint32.
 _GATE_CHUNK = 512
@@ -354,31 +359,67 @@ def _weak_polynomials(
     words: np.ndarray, inv: np.ndarray, tables: list[np.ndarray]
 ) -> np.ndarray:
     """Weak Poincare polynomials of every row by the Moebius recursion over
-    left-descent subsets, as (n!, C(n, 2) + 1) coefficient rows."""
+    left-descent subsets, as (n!, C(n, 2) + 1) coefficient rows.
+
+    The terms come from ``_weak_terms`` in (length, rank) order, so the
+    terms of one length are one run; each length is one gather of its
+    targets' rows, cast to int32, one signed sum per word and one
+    assignment.  The sums fit the uint16 column (the largest coefficient
+    of S_8 is 3836), so no wider copy of the column is ever allocated.
+    """
+    order = np.argsort(inv, kind="stable")  # the rows by (length, rank)
+    targets, signs, first = _weak_terms(words, order, tables)
+    lengths = np.concatenate(([0], np.cumsum(np.bincount(inv))))
+    weak = np.zeros((len(words), len(lengths) - 1), dtype=np.uint16)
+    weak[np.arange(len(words)), inv] = 1
+    # every w0(J) w is shorter than w, so a length reads only finished
+    # lengths, and only in the degrees below it; every word but the
+    # identity has a left descent, so no row's run of terms is empty
+    for length in range(1, len(lengths) - 1):
+        lo, hi = lengths[length], lengths[length + 1]
+        run = slice(first[lo], first[hi])
+        # np.take gathers short rows several times faster than fancy indexing
+        terms = np.take(weak, targets[run], axis=0)[:, :length].astype(np.int32)
+        terms *= signs[run, None]
+        weak[order[lo:hi], :length] = np.add.reduceat(terms, first[lo:hi] - first[lo], axis=0)
+    return weak
+
+
+def _weak_terms(
+    words: np.ndarray, order: np.ndarray, tables: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms (w, J), J a nonempty subset of D_L(w), of the weak
+    recursion W(w) = q^inv(w) + sum of (-1)^(|J|+1) W(w0(J) w), row by
+    row in ``order`` and by J within a row: the uint16 rank of each
+    w0(J) w, its int8 sign, and the (n! + 1,) offsets of each row's
+    first term.
+    """
     n = words.shape[1]
     positions = np.argsort(words, axis=1)  # positions[:, v - 1]: where value v sits
     descents = np.zeros(len(words), dtype=np.uint8)
     for v in range(1, n):  # s_v is a left descent when v + 1 comes before v
         descents |= (positions[:, v] < positions[:, v - 1]).astype(np.uint8) << (v - 1)
-    # per J: the rows with J in D_L(w) and the ranks of w0(J) w, both by length
-    levels = np.arange(n * (n - 1) // 2 + 2)
-    terms = []
-    for subset in range(1, 1 << (n - 1)):
-        rows = np.flatnonzero((descents & subset) == subset)
-        rows = rows[np.argsort(inv[rows], kind="stable")].astype(np.int32)
-        targets = _ranks(_parabolic_longest(subset, n)[words[rows]], tables)
-        bounds = np.searchsorted(inv[rows], levels).tolist()
-        terms.append((rows, targets, bounds, 1 if subset.bit_count() % 2 else -1))
-    # every w0(J) w is shorter than w, so a level reads only finished
-    # levels, and only in the degrees below it
-    weak = np.zeros((len(words), len(levels) - 1), dtype=np.int32)
-    weak[np.arange(len(words)), inv] = 1
-    for level in range(1, len(levels) - 1):
-        for rows, targets, bounds, sign in terms:
-            lo, hi = bounds[level], bounds[level + 1]
-            if lo < hi:
-                weak[rows[lo:hi], :level] += sign * weak[targets[lo:hi], :level]
-    return weak.astype(np.uint16)
+    descents = descents[order]
+    subsets = np.arange(1, 1 << (n - 1), dtype=np.uint8)
+    # w0(J) w maps each letter through the value table of w0(J)
+    longest = np.array(
+        [_parabolic_longest(subset, n) for subset in subsets.tolist()], dtype=np.int8
+    ).ravel()
+    sign_of = np.where(POPCOUNT_16[subsets] % 2, 1, -1).astype(np.int8)
+    targets, signs = [], []
+    for lo in range(0, len(words), _WEAK_CHUNK):
+        contained = (descents[lo : lo + _WEAK_CHUNK, None] & subsets) == subsets
+        at, which = np.divmod(np.flatnonzero(contained), len(subsets))
+        reduced = np.take(words, order[lo + at], axis=0)
+        offsets = which * (n + 1)
+        for i in range(n):
+            reduced[:, i] = longest[offsets + reduced[:, i]]
+        targets.append(_ranks(reduced, tables))
+        signs.append(sign_of[which])
+    # a word with d left descents has 2^d - 1 terms
+    counts = np.left_shift(1, POPCOUNT_16[descents], dtype=np.int64) - 1
+    first = np.concatenate(([0], np.cumsum(counts)))
+    return np.concatenate(targets), np.concatenate(signs), first
 
 
 def _orientation_counts(

