@@ -20,7 +20,9 @@ relations rk = ao, re = ao and wk <= prod keep their meaning:
   2005, section 3.2).  [e, w] minus {w} is the union of [e, sw] over the
   left descents s of w, and the intersection of [e, sw] over s in J is
   [e, w0(J) w], so W(w) = q^inv(w) + sum over nonempty J in D_L(w) of
-  (-1)^(|J|+1) W(w0(J) w), filled in by length.
+  (-1)^(|J|+1) W(w0(J) w), filled in by length: the terms (w, J) are
+  listed once by (length, rank), and each length is one gather and one
+  signed sum per word.
 * ao by inclusion-exclusion over source sets (Stanley, *Acyclic
   orientations of graphs*, Discrete Math. 5, 1973).  Every acyclic
   orientation has a nonempty independent set of sources, an independent
@@ -102,8 +104,8 @@ MAX_TABLE_N = 8
 _BRUHAT_CHUNK = 256
 # Words per pass of the weak recursion's term listing: 2048 words of S_8
 # have at most 38944 terms, so a pass's temporaries stay near 300 KB and
-# are reused from the heap; one pass over S_8 left the peak of a later
-# S8 ``counts`` sweep 8 MiB higher.
+# are reused from the heap; passes of 8192 words left the peak of an S8
+# ``counts`` sweep 8 MiB higher.
 _WEAK_CHUNK = 2048
 # Words per pass of the gate count: 512 rows of fits of the 4140 distinct
 # lower-wall sets of S_8 are 8.5 MB as uint32.
