@@ -46,12 +46,9 @@ relations rk = ao, re = ao and wk <= prod keep their meaning:
   does, read from the column of S_{n-1}.
 
 The weak, ao, distance and pattern recursions read smaller or
-transformed words back from a column by their lexicographic rank.  A
-build looks the rank up in one uint16 table per word length k, keyed by
-the first min(k, n - 1) letters in base n (the letters are values in
-1..n, so no standardization is needed) and filled from the distinct
-prefixes of the words of S_n; each column that reads ranks builds the
-tables for itself and drops them when its build ends.
+transformed words back from a column by their lexicographic rank, the
+Lehmer code of the word weighted by factorials, which a word shares
+with its standardization.
 
 The Bruhat column evaluates the criterion of ``bruhat_below`` for every
 word at once: u <= w exactly when the dominance counts of u lie below
@@ -77,7 +74,6 @@ length segment at a time.
 from __future__ import annotations
 
 import itertools
-import mmap
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from math import factorial
@@ -190,7 +186,7 @@ class GroupTable:
     @_array
     def weak(self) -> np.ndarray:
         """(n!, C(n, 2) + 1) uint16: [k, l] = #{u <=_L w_k : inv(u) = l}."""
-        return _weak_polynomials(self.words, self.inv, _rank_tables(self.n))
+        return _weak_polynomials(self.words, self.inv)
 
     @_array
     def wk(self) -> np.ndarray:
@@ -205,7 +201,7 @@ class GroupTable:
     @_array
     def ao(self) -> np.ndarray:
         """(n!,) int32 acyclic orientations of the inversion graph."""
-        return _orientation_counts(self.words, _rank_tables(self.n))
+        return _orientation_counts(self.words)
 
     @_array
     def rk(self) -> np.ndarray:
@@ -216,7 +212,7 @@ class GroupTable:
     @_array
     def contains(self) -> np.ndarray:
         """(len(PATTERNS), n!) bool, row t for PATTERNS[t]."""
-        return _containment(self.words, _rank_tables(self.n))
+        return _containment(self.words)
 
     @_array
     def ferrers(self) -> np.ndarray:
@@ -234,7 +230,7 @@ class GroupTable:
     @_array
     def distance(self) -> np.ndarray:
         """(n!, C(n, 2) + 1) uint16: [k, l] = #{regions of w_k at distance l}."""
-        distance = _orientation_counts(self.words, _rank_tables(self.n), self.masks)
+        distance = _orientation_counts(self.words, self.masks)
         return distance.astype(np.uint16)
 
     @_array
@@ -286,56 +282,27 @@ def group_table(n: int) -> GroupTable:
 
 
 def _lehmer_codes(words: np.ndarray) -> np.ndarray:
-    """(m, k) uint8 Lehmer codes of the rows of ``words`` (distinct values per row)."""
+    """(m, k) uint8 Lehmer codes of the rows of ``words`` (distinct values
+    per row), the same for a word and its standardization."""
+    letters = np.ascontiguousarray(words.T)  # one contiguous row per position
     codes = np.zeros(words.shape, dtype=np.uint8)
-    for i in range(words.shape[1] - 1):
-        codes[:, i] = np.count_nonzero(words[:, i + 1 :] < words[:, i, None], axis=1)
+    for a in range(words.shape[1] - 1):
+        codes[:, a] = (letters[a + 1 :] < letters[a]).sum(axis=0, dtype=np.uint8)
     return codes
 
 
-def _rank_keys(words: np.ndarray, n: int) -> np.ndarray:
-    """Base-n keys of the first min(k, n - 1) letters of the rows of (m, k)
-    ``words`` over 1..n.  They tell injective words apart: a word of length
-    n is a permutation, fixed by its first n - 1 letters."""
-    key = np.zeros(len(words), dtype=np.intp)
-    for i in range(min(words.shape[1], n - 1)):
-        key *= n
-        key += words[:, i] - 1
-    return key
+def _ranks(words: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks in S_k of the standardized rows of (m, k) ``words``:
+    the Lehmer codes weighted by (k - 1)!, ..., 1!, 0!.
 
-
-def _rank_tables(n: int) -> list[np.ndarray]:
-    """Table k maps the key of each injective word of length k over 1..n to
-    the lexicographic rank of its standardization in S_k, k = 0..n.
-
-    The distinct length-k prefixes of the words of S_n, taken in
-    lexicographic order, are every such word once.  The tables hold 9.0 MB
-    at n = 8, 7.3 MiB of it resident, and live for one column build.  Each
-    is an anonymous mapping of its own, unmapped when the build drops it:
-    freed through malloc, the two 4 MB tables raise glibc's mmap threshold,
-    and a later S8 ``polys`` sweep in the same process peaked 3.3 MiB
-    higher (250.3 against 246.9 MiB).
-    """
-    words = group_table(n).words
-    tables = []
-    for k in range(n + 1):
-        prefixes = words[:: factorial(n - k), :k]
-        weights = np.array([factorial(k - 1 - i) for i in range(k)], dtype=np.uint16)
-        table = np.frombuffer(mmap.mmap(-1, 2 * n ** min(k, n - 1)), dtype=np.uint16)
-        table[_rank_keys(prefixes, n)] = _lehmer_codes(prefixes) @ weights
-        tables.append(table)
-    return tables
-
-
-def _ranks(words: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
-    """Lexicographic ranks in S_k of the standardized rows of (m, k) ``words``,
-    injective over 1..n, read from the ``_rank_tables(n)`` of the build.
-
-    >>> tables = _rank_tables(4)
-    >>> _ranks(np.array([[4, 1, 3], [2, 4, 1], [4, 3, 2]]), tables).tolist()
+    >>> _ranks(np.array([[4, 1, 3], [2, 4, 1], [4, 3, 2]])).tolist()
     [4, 3, 5]
     """
-    return tables[words.shape[1]][_rank_keys(words, len(tables) - 1)]
+    k = words.shape[1]
+    weights = np.array([factorial(k - 1 - a) for a in range(k)], dtype=np.int32)
+    # einsum casts the uint8 codes in buffered blocks; ``@`` would first copy
+    # them whole to int32 (0.4 MiB more at the peak of an S7 sweep)
+    return np.einsum("ij,j->i", _lehmer_codes(words), weights)
 
 
 def _parabolic_longest(subset: int, n: int) -> np.ndarray:
@@ -357,9 +324,7 @@ def _parabolic_longest(subset: int, n: int) -> np.ndarray:
     return table
 
 
-def _weak_polynomials(
-    words: np.ndarray, inv: np.ndarray, tables: list[np.ndarray]
-) -> np.ndarray:
+def _weak_polynomials(words: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Weak Poincare polynomials of every row by the Moebius recursion over
     left-descent subsets, as (n!, C(n, 2) + 1) coefficient rows.
 
@@ -370,7 +335,7 @@ def _weak_polynomials(
     of S_8 is 3836), so no wider copy of the column is ever allocated.
     """
     order = np.argsort(inv, kind="stable")  # the rows by (length, rank)
-    targets, signs, first = _weak_terms(words, order, tables)
+    targets, signs, first = _weak_terms(words, order)
     lengths = np.concatenate(([0], np.cumsum(np.bincount(inv))))
     weak = np.zeros((len(words), len(lengths) - 1), dtype=np.uint16)
     weak[np.arange(len(words)), inv] = 1
@@ -388,11 +353,11 @@ def _weak_polynomials(
 
 
 def _weak_terms(
-    words: np.ndarray, order: np.ndarray, tables: list[np.ndarray]
+    words: np.ndarray, order: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms (w, J), J a nonempty subset of D_L(w), of the weak
     recursion W(w) = q^inv(w) + sum of (-1)^(|J|+1) W(w0(J) w), row by
-    row in ``order`` and by J within a row: the uint16 rank of each
+    row in ``order`` and by J within a row: the int32 rank of each
     w0(J) w, its int8 sign, and the (n! + 1,) offsets of each row's
     first term.
     """
@@ -416,7 +381,7 @@ def _weak_terms(
         offsets = which * (n + 1)
         for i in range(n):
             reduced[:, i] = longest[offsets + reduced[:, i]]
-        targets.append(_ranks(reduced, tables))
+        targets.append(_ranks(reduced))
         signs.append(sign_of[which])
     # a word with d left descents has 2^d - 1 terms
     counts = np.left_shift(1, POPCOUNT_16[descents], dtype=np.int64) - 1
@@ -424,9 +389,7 @@ def _weak_terms(
     return np.concatenate(targets), np.concatenate(signs), first
 
 
-def _orientation_counts(
-    words: np.ndarray, tables: list[np.ndarray], masks: np.ndarray | None = None
-) -> np.ndarray:
+def _orientation_counts(words: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
     """ao of every row by inclusion-exclusion over increasing source sets.
 
     Given the rows' inversion masks, the recursion is graded by distance
@@ -452,7 +415,7 @@ def _orientation_counts(
             increasing &= words[:, a] < words[:, b]
         rows = np.flatnonzero(increasing)
         sign = 1 if len(chosen) % 2 else -1
-        below = sign * smaller[len(rest)][_ranks(words[np.ix_(rows, rest)], tables)]
+        below = sign * smaller[len(rest)][_ranks(words[np.ix_(rows, rest)])]
         if masks is None:
             counts[rows] += below
             continue
@@ -510,17 +473,17 @@ def _gate_counts(table: GroupTable) -> np.ndarray:
     return counts.astype(np.int32)
 
 
-def _containment(words: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+def _containment(words: np.ndarray) -> np.ndarray:
     """Pattern containment rows: the pattern itself, or a one-letter deletion."""
     n = words.shape[1]
     contains = np.zeros((len(PATTERNS), len(words)), dtype=bool)
     for t, pattern in enumerate(PATTERNS):
         if pattern.n == n:
-            contains[t, _ranks(np.array([pattern.word]), tables)[0]] = True
+            contains[t, _ranks(np.array([pattern.word]))[0]] = True
     if n > 1:
         smaller = group_table(n - 1).contains
         for d in range(n):
-            contains |= smaller[:, _ranks(np.delete(words, d, axis=1), tables)]
+            contains |= smaller[:, _ranks(np.delete(words, d, axis=1))]
     return contains
 
 

@@ -242,13 +242,15 @@ def product_q_formula(w: Permutation) -> QPolynomial:
     """The product of q-integers [c_i(w) + 1] over the Lehmer code.
 
     Its value at q = 1 is code_product(w); it equals the weak-order
-    Poincare polynomial of [id, w] exactly when w avoids 231.
+    Poincare polynomial of [id, w] exactly when w avoids 231.  Capped,
+    like code_product, at n <= 20.
 
     >>> print(product_q_formula(Permutation((2, 5, 1, 3, 4))))
     1 + 2q + 2q^2 + 2q^3 + q^4
     """
-    # Convolve on plain ints and validate once: multiplying by [c + 1]
-    # never lowers a coefficient, so no partial product exceeds the result.
+    # code_product enforces the cap and a 64-bit value at q = 1; the
+    # coefficients are nonnegative and sum to it, so none can overflow.
+    code_product(w)
     coeffs = [1]
     for c in lehmer_code(w):
         out = [0] * (len(coeffs) + c)

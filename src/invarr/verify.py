@@ -236,8 +236,8 @@ def _sweep_fields(n: int, depth: str) -> _Fields:
     """The fields of every word of S_n, read from ``group_table(n)``; a
     ``counts`` sweep reads no polynomial column."""
     table = group_table(n)  # enforces n <= 8
-    # Bruhat first: once the weak column's freed int32 array raises glibc's
-    # mmap threshold, its temporaries stay in the heap (S7 peak +1.3 MiB).
+    # Bruhat first: built after the other columns, its multi-MB temporaries
+    # raise the peak of a cold S8 ``counts`` sweep from 94 to 105 MiB.
     br = table.bruhat.sum(axis=1, dtype=np.int64)
     polys = [None] * 4
     if depth != "counts":
@@ -289,12 +289,12 @@ def _sweep_records(n: int, fields: _Fields) -> list[StatRecord]:
     )
 
 
-def _bulk_bruhat(word: Word, tables: GroupTable, want_poly: bool):
-    below = tables.bruhat_below(word)
+def _bulk_bruhat(word: Word, table: GroupTable, want_poly: bool):
+    below = table.bruhat_below(word)
     size = int(np.count_nonzero(below))
     if not want_poly:
         return size, None
-    return size, length_polynomial(tables.inv[below])
+    return size, length_polynomial(table.inv[below])
 
 
 def _build_record(*fields) -> StatRecord:
@@ -412,11 +412,11 @@ def stat_record(w: Permutation, depth: str = "counts") -> StatRecord:
     """
     if depth not in DEPTHS:
         raise ValueError(f"depth must be one of {DEPTHS}, got {depth!r}")
-    tables = group_table(w.n)  # enforces n <= 8
+    table = group_table(w.n)  # enforces n <= 8
     want_polys = depth != "counts"
     code = lehmer_code(w)
     weak = orders.weak_interval_by_filter(w)
-    br, bruhat_poly = _bulk_bruhat(w.word, tables, want_polys)
+    br, bruhat_poly = _bulk_bruhat(w.word, table, want_polys)
     # 4231 is in both pattern bundles; the cache backtracks it once.
     contains = cache(partial(contains_pattern, w))
     product_poly = distance_poly = re_count = None
@@ -492,10 +492,7 @@ def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> Swee
 # report emission
 
 
-CSV_HEADER = (
-    "w,inv,code,prod,wk,br,ao,rk,re,avoids_231_312,avoids_four,"
-    "avoids_3412_4231,weak_poly,bruhat_poly,product_poly,distance_poly"
-)
+CSV_HEADER = ",".join(StatRecord._fields)
 
 # One template per record and format, its fields in ``to_json_dict`` order.
 # The JSON one fills in what ``json.dumps(record.to_json_dict())`` would

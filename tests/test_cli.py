@@ -124,6 +124,12 @@ class TestPoincare:
                 which
             ]
 
+    def test_product_over_cap_exits_2(self, capsys):
+        word = " ".join(map(str, range(21, 0, -1)))
+        code, out, err = run_cli(capsys, "poincare", word, "--which", "product")
+        assert code == 2 and out == ""
+        assert "n <= 20" in err
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "poincare", "321", "--which", "product")
         assert code == 0

@@ -13,11 +13,9 @@ and re (gate count) against the region sort.  The Bruhat column
 compare, which shares no essential-set arithmetic with it.
 """
 
-import gc
 import hashlib
 import itertools
 import random
-import weakref
 from math import factorial
 
 import numpy as np
@@ -262,38 +260,32 @@ def test_the_weak_row_of_w0_is_the_mahonian_numbers(n):
     assert table.weak[-1].tolist() == np.bincount(table.inv).tolist()
 
 
-def _lehmer_rank(word: tuple[int, ...]) -> int:
-    """sum of c_i (k - 1 - i)! over the Lehmer code of the standardized word."""
-    if not word:
-        return 0
-    standard = Permutation(tuple(sorted(word).index(a) + 1 for a in word))
-    k = len(word)
-    return sum(c * factorial(k - 1 - i) for i, c in enumerate(lehmer_code(standard)))
-
-
-def _check_lookup_ranks(n: int, words: list[tuple[int, ...]]) -> None:
-    tables = columns._rank_tables(n)
+def _check_lookup_ranks(words: list[tuple[int, ...]]) -> None:
+    """The ranks by which the recursions look rows up, and the Lehmer codes
+    they come from, on injective words that are not standardized."""
     by_length: dict[int, list[tuple[int, ...]]] = {}
     for word in words:
         by_length.setdefault(len(word), []).append(word)
     for k, group in by_length.items():
+        position = {w: rank for rank, w in enumerate(iter_words(k))}
+        standard = [tuple(sorted(word).index(a) + 1 for a in word) for word in group]
         array = np.array(group, dtype=np.int8).reshape(len(group), k)
-        ranks = columns._ranks(array, tables).tolist()
-        assert ranks == [_lehmer_rank(word) for word in group], (n, k)
+        assert columns._ranks(array).tolist() == [position[w] for w in standard], k
+        codes = [lehmer_code(Permutation(w)) if k else () for w in standard]
+        assert [tuple(c) for c in columns._lehmer_codes(array).tolist()] == codes, k
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_lookup_ranks_match_lehmer_codes_on_every_injective_word(n):
     letters = range(1, n + 1)
-    words = [w for k in range(n + 1) for w in itertools.permutations(letters, k)]
-    _check_lookup_ranks(n, words)
+    _check_lookup_ranks([w for k in range(n + 1) for w in itertools.permutations(letters, k)])
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_lookup_ranks_match_lehmer_codes_on_seeded_draws(n):
     rng = random.Random(S8_SAMPLE_SEED + n)
     lengths = [k for k in range(n + 1) for _ in range(200)]
-    _check_lookup_ranks(n, [tuple(rng.sample(range(1, n + 1), k)) for k in lengths])
+    _check_lookup_ranks([tuple(rng.sample(range(1, n + 1), k)) for k in lengths])
 
 
 def test_only_the_depths_past_counts_build_their_columns():
@@ -305,27 +297,6 @@ def test_only_the_depths_past_counts_build_their_columns():
     assert lazy & set(vars(group_table(6))) == {"product", "distance"}
     verify.sweep(6, "with_region_oracle")
     assert lazy <= set(vars(group_table(6)))
-
-
-def test_no_rank_table_outlives_the_column_build(monkeypatch):
-    build_tables = columns._rank_tables
-    built = []
-
-    def recording(n):
-        tables = build_tables(n)
-        built.extend(weakref.ref(table) for table in tables)
-        return tables
-
-    monkeypatch.setattr(columns, "_rank_tables", recording)
-    group_table.cache_clear()
-    table = group_table(8)
-    for name in ("weak", "ao", "contains", "distance"):
-        getattr(table, name)
-    gc.collect()
-    # each of these columns of S8, and the ao, containment and distance
-    # columns of S1..S7 they read, builds its own tables of k + 1 lengths
-    assert len(built) == 4 * 9 + 3 * sum(k + 1 for k in range(1, 8))
-    assert all(ref() is None for ref in built)
 
 
 def test_a_sweep_builds_no_unread_column_of_the_smaller_groups():

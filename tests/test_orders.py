@@ -218,8 +218,6 @@ class TestCodeOrder:
         assert product_q_formula(W25134)(1) == 8
 
     def test_product_formula_equals_the_q_integer_product(self):
-        # one validation at the end catches every overflow the partial
-        # products could: multiplying by [c + 1] never lowers a coefficient
         for n in range(1, 7):
             for word in iter_words(n):
                 w = Permutation(word)
@@ -227,9 +225,15 @@ class TestCodeOrder:
                 for c in lehmer_code(w):
                     expected = expected * QPolynomial.q_integer(c + 1)
                 assert product_q_formula(w) == expected, word
+
+    def test_product_formula_cap_refuses_before_the_convolution(self):
+        # the coefficients sum to code_product(w), whose check caps n at 20
         assert product_q_formula(Permutation.longest(20))(1) == factorial(20)
-        with pytest.raises(OverflowError):
-            product_q_formula(Permutation.longest(25))
+        for n in (21, 120):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="n <= 20"):
+                product_q_formula(Permutation.longest(n))
+            assert time.perf_counter() - start < 0.010, n
 
     def test_code_monotone_examples(self):
         assert code_monotone_check(Permutation.identity(5), W25134)
