@@ -25,6 +25,7 @@ from .arrangement import (
     distance_of_regions,
     inversion_graph,
     regions,
+    regions_by_sort,
 )
 from .orders import (
     IntervalSummary,
@@ -114,6 +115,7 @@ __all__ = [
     "parse_permutation",
     "product_q_formula",
     "regions",
+    "regions_by_sort",
     "rook_count",
     "southwest_diagram",
     "stat_record",

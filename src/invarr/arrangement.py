@@ -11,11 +11,15 @@ inverted}.
 
 Regions are enumerated combinatorially: a region is determined by its
 sign vector over the inverted pairs, and the achievable sign vectors are
-exactly the restrictions I(u) & I(w) over all permutations u.  They are
-kept as the distinct uint32 inversion masks left by one sort of the
-whole-group table (``columns.group_table``, n <= 8), with no compaction
-onto the inverted pairs.  The base
-region is the identity chamber x_1 < x_2 < ... < x_n (mask 0); a
+exactly the restrictions I(u) & I(w) over all permutations u, kept as
+uint32 masks over the slots of ``perm.pair_slot`` with no compaction
+onto the inverted pairs.  ``regions`` takes one chamber per region, its
+gate: the chamber u whose lower walls L(u), the slots (i, j), i < j,
+with u_i = u_j + 1, all lie in I(w).  It is one filter of the
+whole-group table (``columns.group_table``, n <= 8) and shares the gate
+rule with the ``re`` column.  Its oracle ``regions_by_sort`` keeps the
+distinct restrictions left by one sort of every mask of the table.  The
+base region is the identity chamber x_1 < x_2 < ... < x_n (mask 0); a
 region's distance is the number of hyperplanes separating it from the
 base, the popcount of its mask, so the distance enumerator of the full
 braid arrangement (w longest) matches the weak-order Poincare
@@ -224,14 +228,14 @@ def count_acyclic_orientations_by_enumeration(g: InversionGraph) -> int:
 class RegionSet:
     """Regions of the arrangement {x_i = x_j : (i, j) in I(w)}.
 
-    ``masks`` holds one uint32 mask per region, sorted: the distinct
+    ``masks`` holds one uint32 mask per region: the distinct
     restrictions I(u) & I(w) over u in S_n, in the slots of
-    ``pair_slot``.  A region's distance from the base region (identity
-    chamber, mask 0) is its number of separating hyperplanes, the
-    popcount of its mask.
+    ``pair_slot``, sorted only when they come from ``regions_by_sort``.
+    A region's distance from the base region (identity chamber, mask 0)
+    is its number of separating hyperplanes, the popcount of its mask.
     """
 
-    masks: np.ndarray  # (regions,) uint32, sorted
+    masks: np.ndarray  # (regions,) uint32
 
     @property
     def size(self) -> int:
@@ -239,17 +243,32 @@ class RegionSet:
 
 
 def regions(w: Permutation) -> RegionSet:
-    """All regions of the inversion arrangement of w.
+    """All regions of the inversion arrangement of w, one per gate.
+
+    Every region holds exactly one chamber u with L(u) inside I(w): from
+    any other chamber of the region, crossing a lower wall outside I(w)
+    stays in the region and comes one step nearer the base.  The gates'
+    restrictions I(u) & I(w) are the regions' sign vectors, in the
+    table's row order.
+
+    >>> regions(Permutation((1, 2, 3))).size
+    1
+    >>> regions(Permutation.longest(3)).size
+    6
+    """
+    return RegionSet(group_table(w.n).gate_signs(inversion_mask(w.word)))
+
+
+def regions_by_sort(w: Permutation) -> RegionSet:
+    """Oracle: the distinct restrictions I(u) & I(w) over all of S_n, sorted.
 
     A sign vector is achievable exactly when it is I(u) restricted to
     I(w) for some permutation u (the chamber of u in the full braid
     arrangement lies in that region), so the distinct restrictions
     enumerate the regions.
 
-    >>> regions(Permutation((1, 2, 3))).size
-    1
-    >>> regions(Permutation.longest(3)).size
-    6
+    >>> regions_by_sort(Permutation((2, 1, 3))).masks.tolist()
+    [0, 1]
     """
     return RegionSet(group_table(w.n).region_signs(inversion_mask(w.word)))
 

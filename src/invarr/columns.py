@@ -4,16 +4,17 @@ For n <= 8, row k of every array of ``group_table(n)`` belongs to the
 word of lexicographic rank k.  Each array is read-only and built on
 first use, so a caller builds only what it reads: ``verify.stat_record``
 and the CLI read the words, inversion masks and counts and dominance
-counts; a sweep adds the statistic columns, and past depth ``counts``
-the product, distance and re columns; the build of a column of S_n
-reads only the ao, containment and distance columns of smaller groups.
-The per-record routes of ``stat_record`` (the weak filter, the
-essential-set filter ``GroupTable.bruhat_below``, the chromatic
-polynomial from partitions into independent sets, backtracking,
-``orders.product_q_formula``, the region sort) are the columns'
+counts, and past depth ``counts`` the lower walls; a sweep adds the
+statistic columns, and past depth ``counts`` the product, distance and
+re columns; the build of a column of S_n reads only the ao, containment
+and distance columns of smaller groups.  The per-record routes of
+``stat_record`` (the weak filter, the essential-set filter
+``GroupTable.bruhat_below``, the chromatic polynomial from partitions
+into independent sets, backtracking, ``orders.product_q_formula``) and
+the region sort ``arrangement.regions_by_sort`` are the columns'
 oracles.  Each column except Bruhat's comes from a recursion over the
-whole group that shares no arithmetic with those routes, so the checked
-relations rk = ao, re = ao and wk <= prod keep their meaning:
+whole group that shares no arithmetic with those oracles, so the
+checked relations rk = ao, re = ao and wk <= prod keep their meaning:
 
 * the weak polynomials by the Moebius recursion of left weak order
   (Bjoerner and Brenti, *Combinatorics of Coxeter Groups*, GTM 231,
@@ -38,7 +39,10 @@ relations rk = ao, re = ao and wk <= prod keep their meaning:
 * the product polynomials prod [c_i + 1]_q by prefix sums along the
   degree axis, one per code position.
 * re by gate count: re(w) = #{u : L(u) in I(w)}, L(u) the slots (i, j),
-  i < j, with u_i = u_j + 1.
+  i < j, with u_i = u_j + 1 (``GroupTable.lower``).  The route
+  ``arrangement.regions`` filters the same gates for one word, as rk's
+  route shares Ryser arithmetic with its column, so re's oracle is the
+  region sort.
 * rk by one batched Ryser permanent (``rook.permanents``) of the
   complements of the south-west diagrams.
 * containment of a pattern by one-letter deletion: for n > |p|, w
@@ -238,6 +242,15 @@ class GroupTable:
         """(n!,) int32 region counts of the inversion arrangements."""
         return _gate_counts(self)
 
+    @_array
+    def lower(self) -> np.ndarray:
+        """(n!,) uint32 lower walls L(u): the slots (i, j), i < j, with u_i = u_j + 1."""
+        words = self.words
+        lower = np.zeros(len(words), dtype=np.uint32)
+        for slot, (i, j) in enumerate(itertools.combinations(range(self.n), 2)):
+            lower |= (words[:, i] == words[:, j] + 1).astype(np.uint32) << np.uint32(slot)
+        return lower
+
     def weak_below(self, target_mask: int) -> np.ndarray:
         """Rows u with I(u) inside ``target_mask``: u <= w in left weak order."""
         return (self.masks & ~np.uint32(target_mask)) == 0
@@ -259,6 +272,12 @@ class GroupTable:
         # sort and drop repeats: np.unique is several times slower here
         restricted = np.sort(self.masks & np.uint32(target_mask))
         return restricted[np.concatenate(([True], restricted[1:] != restricted[:-1]))]
+
+    def gate_signs(self, target_mask: int) -> np.ndarray:
+        """I(u) & ``target_mask`` for the gates u, those with L(u) inside
+        ``target_mask``: one mask per region, in row order."""
+        target = np.uint32(target_mask)
+        return self.masks[(self.lower & ~target) == 0] & target
 
     def avoids(self, patterns: tuple[Permutation, ...]) -> np.ndarray:
         """Rows containing none of ``patterns`` (each one of ``PATTERNS``)."""
@@ -455,19 +474,15 @@ def _gate_counts(table: GroupTable) -> np.ndarray:
     L(u) holds the slots (i, j), i < j, with u_i = u_j + 1: the walls
     between the chamber of u and the chambers below it in weak order.
     Each region of the arrangement of I(w) has exactly one such chamber,
-    its gate.  L takes Bell(n) distinct values, so the count is one
-    product of the fits of the distinct walls with their multiplicities,
-    in float32, exact for sums below 2^24.
+    its gate.  L (``GroupTable.lower``) takes Bell(n) distinct values, so
+    the count is one product of the fits of the distinct walls with their
+    multiplicities, in float32, exact for sums below 2^24.
     """
-    n, words = table.n, table.words
-    lower = np.zeros(len(words), dtype=np.uint32)
-    for slot, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        lower |= (words[:, i] == words[:, j] + 1).astype(np.uint32) << np.uint32(slot)
-    walls, sizes = np.unique(lower, return_counts=True)
+    walls, sizes = np.unique(table.lower, return_counts=True)
     weights = sizes.astype(np.float32)
     outside = ~table.masks
-    counts = np.empty(len(words), dtype=np.float32)
-    for lo in range(0, len(words), _GATE_CHUNK):
+    counts = np.empty(len(outside), dtype=np.float32)
+    for lo in range(0, len(outside), _GATE_CHUNK):
         fits = (walls & outside[lo : lo + _GATE_CHUNK, None]) == 0
         counts[lo : lo + _GATE_CHUNK] = fits @ weights
     return counts.astype(np.int32)

@@ -257,12 +257,33 @@ def inverse(w: Permutation) -> Permutation:
     return Permutation(tuple(out))
 
 
+# Pattern words whose windows are kept: the seven of ``columns.PATTERNS``
+# and a few more.
+MAX_PATTERN_WINDOWS = 32
+
+
+@lru_cache(maxsize=MAX_PATTERN_WINDOWS)
+def _pattern_windows(pword: Word) -> tuple[tuple[int, int], ...]:
+    """For each position t of ``pword``, the positions s < t of the nearest
+    smaller and the nearest larger value of pword[t]; k and k + 1 (the
+    sentinel slots of ``contains_pattern``) where there is none."""
+    k = len(pword)
+    windows = []
+    for t, p in enumerate(pword):
+        below = [(pword[s], s) for s in range(t) if pword[s] < p]
+        above = [(pword[s], s) for s in range(t) if pword[s] > p]
+        windows.append((max(below)[1] if below else k, min(above)[1] if above else k + 1))
+    return tuple(windows)
+
+
 def contains_pattern(w: Permutation, pattern: Permutation) -> bool:
     """Whether some subsequence of w is order-isomorphic to ``pattern``.
 
-    Backtracking over pattern positions left to right, pruning any
-    partial choice whose pairwise comparisons already disagree with the
-    pattern.
+    Backtracking over pattern positions left to right.  The letters
+    chosen so far are order-isomorphic to the pattern's prefix, so a
+    candidate for position t keeps that true exactly when it lies
+    strictly between the letters chosen at the nearest smaller and the
+    nearest larger value of the prefix (``_pattern_windows``).
 
     >>> contains_pattern(Permutation((2, 5, 1, 3, 4)), Permutation((2, 3, 1)))
     True
@@ -272,19 +293,20 @@ def contains_pattern(w: Permutation, pattern: Permutation) -> bool:
     k, n = pattern.n, w.n
     if k > n:
         return False
-    pword, wword = pattern.word, w.word
-    chosen: list[int] = []
+    windows, wword = _pattern_windows(pattern.word), w.word
+    chosen = [0] * k + [0, n + 1]  # the sentinels bound an open window
 
     def extend(t: int, start: int) -> bool:
         if t == k:
             return True
-        for pos in range(start, n - (k - t) + 1):
+        low, high = windows[t]
+        low, high = chosen[low], chosen[high]
+        for pos in range(start, n - k + t + 1):
             v = wword[pos]
-            if all((v > c) == (pword[t] > pword[s]) for s, c in enumerate(chosen)):
-                chosen.append(v)
+            if low < v < high:
+                chosen[t] = v
                 if extend(t + 1, pos + 1):
                     return True
-                chosen.pop()
         return False
 
     return extend(0, 0)

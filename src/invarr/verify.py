@@ -38,19 +38,23 @@ the gate chambers of the regions.  ``stat_record`` computes the same
 fields by the per-record routes (the weak filter, the essential-set
 filter ``GroupTable.bruhat_below``, the chromatic polynomial from
 partitions into independent sets, the Ryser permanent of one board,
-pattern backtracking, ``orders.product_q_formula`` and the region
-sort); these, with backtracking rook search for rk, are the columns'
-oracles.  Both hand a record's field values, in ``StatRecord`` order, to
+pattern backtracking, ``orders.product_q_formula`` and the gate filter
+``arrangement.regions``); these, with backtracking rook search for rk
+and the region sort ``arrangement.regions_by_sort`` for re and the
+distance enumerators, are the columns' oracles, and the two region rows
+of ``oracle_checks`` compare those columns with the sort.  Both hand a
+record's field values, in ``StatRecord`` order, to
 the one record assembly, ``_build_record``, which builds the record, a
 NamedTuple, by position.
 
 The per-record routes and the regions read only the same table's
-words, masks, inversion counts and dominance counts, which are built on
-first use like every column: weak intervals select the rows whose
-inversion mask lies inside I(w), Bruhat intervals the rows whose dominance counts
-R_u[i][j] = #{a <= i : u_a >= j} lie below R_w, compared only on the
-cells of Fulton's essential set of w0 w (Duke Math. J. 65, 1992), and
-regions are the distinct restrictions of the masks to I(w).
+words, masks, inversion counts, dominance counts and lower walls, which
+are built on first use like every column: weak intervals select the
+rows whose inversion mask lies inside I(w), Bruhat intervals the rows
+whose dominance counts R_u[i][j] = #{a <= i : u_a >= j} lie below R_w,
+compared only on the cells of Fulton's essential set of w0 w (Duke
+Math. J. 65, 1992), and regions the gate rows, whose lower walls lie
+inside I(w), restricted to I(w).
 
 At depths ``polys`` and ``with_region_oracle`` every record gets its
 four polynomials; only ``with_region_oracle`` also reports the region
@@ -670,12 +674,12 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
 
     def distance_column_body(rank: int, w: Permutation) -> str:
         column = QPolynomial(group_table(w.n).distance[rank].tolist())
-        route = arrangement.distance_of_regions(arrangement.regions(w))
+        route = arrangement.distance_of_regions(arrangement.regions_by_sort(w))
         return "" if column == route else f"column {column} vs region sort {route}"
 
     def region_column_body(rank: int, w: Permutation) -> str:
         column = int(group_table(w.n).re[rank])
-        route = arrangement.regions(w).size
+        route = arrangement.regions_by_sort(w).size
         return "" if column == route else f"column {column} vs region sort {route}"
 
     def orientation_column_body(rank: int, w: Permutation) -> str:

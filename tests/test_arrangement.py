@@ -3,6 +3,7 @@
 import random
 from math import factorial
 
+import numpy as np
 import pytest
 
 from invarr import arrangement
@@ -15,6 +16,7 @@ from invarr.arrangement import (
     distance_of_regions,
     inversion_graph,
     regions,
+    regions_by_sort,
 )
 from invarr.orders import bruhat_interval, weak_interval
 from invarr.perm import (
@@ -204,7 +206,7 @@ class TestRegions:
         assert regions(W25134).size == 16
 
     def test_structure(self):
-        rs = regions(W25134)
+        rs = regions_by_sort(W25134)
         masks = rs.masks.tolist()
         assert masks == sorted(set(masks))
         assert masks[0] == 0 and masks[-1] == inversion_mask(W25134.word)
@@ -227,13 +229,27 @@ class TestRegions:
         # the first and last of the sorted masks.  The region count and
         # distances are checked against the re and distance columns by
         # tests/test_columns.py and the oracle rows.
-        rng = random.Random(5)
-        words = [w for n in range(1, 8) for w in iter_words(n)]
-        words += [unrank_lex(8, r).word for r in (0, factorial(8) - 1)]
-        words += [unrank_lex(8, r).word for r in rng.sample(range(factorial(8)), 400)]
-        for word in words:
-            rs = regions(Permutation(word))
+        for word in _region_sample_words():
+            rs = regions_by_sort(Permutation(word))
             assert rs.masks[0] == 0 and rs.masks[-1] == inversion_mask(word), word
+
+    def test_gate_regions_match_the_region_sort(self):
+        # one gate per region: the gates' masks are the sort's, each once
+        for word in _region_sample_words():
+            w = Permutation(word)
+            gates, by_sort = regions(w).masks, regions_by_sort(w).masks
+            assert gates.dtype == by_sort.dtype == np.uint32, word
+            assert np.sort(gates).tolist() == by_sort.tolist(), word
+
+
+def _region_sample_words() -> list:
+    """All of S1..S7, the identity and the longest word of S8, and a
+    seeded sample of 400 words of S8."""
+    rng = random.Random(5)
+    words = [w for n in range(1, 8) for w in iter_words(n)]
+    words += [unrank_lex(8, r).word for r in (0, factorial(8) - 1)]
+    words += [unrank_lex(8, r).word for r in rng.sample(range(factorial(8)), 400)]
+    return words
 
 
 class TestDistanceEnumerator:

@@ -50,7 +50,7 @@ def test_wrapped_names_run_and_are_restored():
     assert spans["verify.record"]["calls"] == 6 + 1
     assert spans["verify.checks"]["calls"] == 2
     # the sweep reads the distance and region columns: only the
-    # stat_record sorts regions
+    # stat_record filters the gate chambers
     for name in ("arrangement.regions", "arrangement.distance_of_regions"):
         assert spans[name]["calls"] == 1, name
     assert "orders.weak_interval" not in spans  # records read the group table

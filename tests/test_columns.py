@@ -64,7 +64,7 @@ def _own_column_values(n: int, rank: int) -> tuple:
 
 # The fields that the oracle rows also compare, up to n = 7.
 def _shared_route_values(w: Permutation) -> tuple:
-    regions = arrangement.regions(w)
+    regions = arrangement.regions_by_sort(w)
     return (
         arrangement.count_acyclic_orientations(arrangement.inversion_graph(w)),
         tuple(contains_pattern(w, p) for p in PATTERNS),
@@ -191,7 +191,7 @@ def test_stat_record_and_the_cli_build_no_columns(capsys):
     assert cli.run(["stats", "31485276", "--format", "json"]) == 0
     capsys.readouterr()
     # only the arrays of the per-record routes, and no smaller group
-    assert set(vars(group_table(8))) == {"n", "words", "masks", "inv", "dom"}
+    assert set(vars(group_table(8))) == {"n", "words", "masks", "inv", "dom", "lower"}
     assert group_table.cache_info().currsize == 1
     assert (record.wk, record.rk) == _own_route_values(w)[2:4]
     assert record.ao == _shared_route_values(w)[0]

@@ -11,6 +11,7 @@ from invarr import columns
 from invarr.arrangement import distance_enumerator
 from invarr.columns import group_table
 from invarr.perm import (
+    MAX_PATTERN_WINDOWS,
     PATTERN_231,
     PATTERN_312,
     POINCARE_MATCH_PATTERNS,
@@ -30,6 +31,7 @@ from invarr.perm import (
     parse_permutation,
     pair_slot,
     popcounts,
+    _pattern_windows,
     unrank_lex,
 )
 
@@ -209,6 +211,22 @@ class TestPatterns:
                 assert contains_pattern(w, pattern) == _contains_by_enumeration(
                     w, pattern
                 ), (word, pattern.word)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_pattern_of_s3_and_s4_agrees_with_subsequence_enumeration(self, n):
+        patterns = [Permutation(p) for k in (3, 4) for p in iter_words(k)]
+        for word in iter_words(n):
+            w = Permutation(word)
+            for pattern in patterns:
+                assert contains_pattern(w, pattern) == _contains_by_enumeration(
+                    w, pattern
+                ), (word, pattern.word)
+
+    def test_pattern_windows(self):
+        # 2 4 1 3: 4 lies above the 2 chosen first; 1 below everything;
+        # 3 between the 2 and the 4.  k = 4 and 5 are the open sentinels.
+        assert _pattern_windows((2, 4, 1, 3)) == ((4, 5), (0, 5), (4, 0), (0, 1))
+        assert _pattern_windows.cache_info().maxsize == MAX_PATTERN_WINDOWS
 
     def test_agrees_with_subsequence_enumeration_full_s7(self):
         by_length = {}

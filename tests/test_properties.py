@@ -2,10 +2,13 @@
 
 No column covers these groups, so each statistic comes from its
 single-word route: wk and the weak Poincare polynomial from the weak
-BFS, rk from the Ryser permanent, ao from the chromatic polynomial.
-Hypothesis draws the words, derandomized so that every run checks the
-same ones.
+BFS, rk from the Ryser permanent, ao from the chromatic polynomial, and
+the pattern flags from backtracking, checked here against subsequence
+enumeration.  Hypothesis draws the words, derandomized so that every
+run checks the same ones.
 """
+
+import itertools
 
 import pytest
 
@@ -14,6 +17,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from invarr.arrangement import count_acyclic_orientations, inversion_graph  # noqa: E402
+from invarr.columns import PATTERNS  # noqa: E402
 from invarr.orders import MAX_WEAK_STATES, product_q_formula, weak_interval  # noqa: E402
 from invarr.perm import (  # noqa: E402
     PATTERN_231,
@@ -85,3 +89,31 @@ class TestChainPastTheGroupTable:
         # the draws reach both sides of each equivalence
         assert {a for a, _ in seen} == {False, True}
         assert {b for _, b in seen} == {False, True}
+
+
+def _contains_by_enumeration(w: Permutation, pattern: Permutation) -> bool:
+    """Whether some k-subsequence of w standardizes to ``pattern``."""
+    k = pattern.n
+    for positions in itertools.combinations(range(w.n), k):
+        letters = [w.word[p] for p in positions]
+        if tuple(sorted(letters).index(v) + 1 for v in letters) == pattern.word:
+            return True
+    return False
+
+
+class TestPatternsPastTheGroupTable:
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_backtracking_matches_subsequence_enumeration(self, n):
+        seen = set()
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+        @given(st.permutations(range(1, n + 1)))
+        def check(word):
+            w = Permutation(tuple(word))
+            for pattern in PATTERNS:
+                contains = contains_pattern(w, pattern)
+                assert contains == _contains_by_enumeration(w, pattern), pattern.word
+                seen.add(contains)
+
+        check()
+        assert seen == {False, True}
