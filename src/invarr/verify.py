@@ -40,12 +40,11 @@ filter ``GroupTable.bruhat_below``, the chromatic polynomial from
 partitions into independent sets, the Ryser permanent of one board,
 pattern backtracking, ``orders.product_q_formula`` and the gate filter
 ``arrangement.regions``); these, with backtracking rook search for rk
-and the region sort ``arrangement.regions_by_sort`` for re and the
-distance enumerators, are the columns' oracles, and the two region rows
-of ``oracle_checks`` compare those columns with the sort.  Both hand a
-record's field values, in ``StatRecord`` order, to
-the one record assembly, ``_build_record``, which builds the record, a
-NamedTuple, by position.
+and with the region sort ``arrangement.regions_by_sort`` in place of
+the gate filter, which shares the gate rule with the re column, are the
+columns' oracles.  Both hand a record's field values, in
+``StatRecord`` order, to the one record assembly, ``_build_record``,
+which builds the record, a NamedTuple, by position.
 
 The per-record routes and the regions read only the same table's
 words, masks, inversion counts, dominance counts and lower walls, which
