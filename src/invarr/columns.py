@@ -6,15 +6,16 @@ first use, so a caller builds only what it reads: ``verify.stat_record``
 and the CLI read the words, inversion masks and counts and dominance
 counts, and past depth ``counts`` the lower walls; a sweep adds the
 statistic columns, and past depth ``counts`` the product, distance and
-re columns; the build of a column of S_n reads only the ao, containment
-and distance columns of smaller groups.  The per-record routes of
-``stat_record`` (the weak filter, the essential-set filter
-``GroupTable.bruhat_below``, the chromatic polynomial from partitions
-into independent sets, backtracking, ``orders.product_q_formula``) and
-the region sort ``arrangement.regions_by_sort`` are the columns'
-oracles.  Each column except Bruhat's comes from a recursion over the
-whole group that shares no arithmetic with those oracles, so the
-checked relations rk = ao, re = ao and wk <= prod keep their meaning:
+re columns; the build of a column of S_n reads only the deletion ranks
+and the ao, containment and distance columns of smaller groups.  The
+per-record routes of ``stat_record`` (the weak filter, the essential-set
+filter ``GroupTable.bruhat_below``, the chromatic polynomial from
+partitions into independent sets, the Ryser permanent, pattern
+backtracking, ``orders.product_q_formula``) and the region sort
+``arrangement.regions_by_sort`` are the columns' oracles.  Each column
+except Bruhat's comes from a recursion over the whole group that shares
+no arithmetic with those oracles, so the checked relations rk = ao,
+re = ao and wk <= prod keep their meaning:
 
 * the weak polynomials by the Moebius recursion of left weak order
   (Bjoerner and Brenti, *Combinatorics of Coxeter Groups*, GTM 231,
@@ -30,29 +31,36 @@ checked relations rk = ao, re = ao and wk <= prod keep their meaning:
   set of the inversion graph is an increasing subsequence, and deleting
   it leaves the inversion graph of the standardized rest, so
   ao(w) = sum over nonempty increasing S of (-1)^(|S|+1) ao(std(w - S)),
-  read from the columns of S_{<n}.
+  read from the columns of S_{<n}.  Each S is reached once, from
+  S minus its smallest position, and the rank of w - S is composed from
+  one-letter deletions (``GroupTable.deletions``), the largest position
+  first, so that each deletion leaves the smaller positions in place.
 * the distance enumerators by the same recursion graded by distance.
   The regions are the acyclic orientations (Greene and Zaslavsky,
   Trans. AMS 280, 1983), and D(w) = sum over nonempty increasing S of
   (-1)^(|S|+1) q^x(S) D(std(w - S)), where x(S) counts the inverted
-  pairs (b, a), b < a, with a in S and b not.
+  pairs (b, a), b < a, with a in S and b not: the sum over a in S of
+  #{b < a : w_b > w_a}.
 * the product polynomials prod [c_i + 1]_q by prefix sums along the
   degree axis, one per code position.
 * re by gate count: re(w) = #{u : L(u) in I(w)}, L(u) the slots (i, j),
   i < j, with u_i = u_j + 1 (``GroupTable.lower``).  The route
-  ``arrangement.regions`` filters the same gates for one word, as rk's
-  route shares Ryser arithmetic with its column, so re's oracle is the
-  region sort.
-* rk by one batched Ryser permanent (``rook.permanents``) of the
-  complements of the south-west diagrams.
+  ``arrangement.regions`` filters the same gates for one word, so re's
+  oracle is the region sort.
+* rk by placing one rook per row down the tree of prefixes: row i of
+  the complement of the south-west diagram is {c <= w_i} together with
+  {w_1, ..., w_(i-1)}, so it depends only on the prefix w_1..w_i, whose
+  words are one run of the table.  The route ``rook.rook_count`` is a
+  Ryser permanent, which shares no arithmetic with it.
 * containment of a pattern by one-letter deletion: for n > |p|, w
   contains p exactly when some standardized deletion of one letter of w
-  does, read from the column of S_{n-1}.
+  does, read from the column of S_{n-1} by the deletion ranks.
 
 The weak, ao, distance and pattern recursions read smaller or
 transformed words back from a column by their lexicographic rank, the
 Lehmer code of the word weighted by factorials, which a word shares
-with its standardization.
+with its standardization; the ranks of the one-letter deletions are
+composed from the codes once per group (``GroupTable.deletions``).
 
 The Bruhat column evaluates the criterion of ``bruhat_below`` for every
 word at once: u <= w exactly when the dominance counts of u lie below
@@ -95,7 +103,6 @@ from .perm import (
     iter_words,
     popcounts,
 )
-from .rook import permanents
 
 # Largest n of the whole-group table: 8! rows, C(8, 2) = 28 mask bits.
 MAX_TABLE_N = 8
@@ -205,18 +212,22 @@ class GroupTable:
     @_array
     def ao(self) -> np.ndarray:
         """(n!,) int32 acyclic orientations of the inversion graph."""
-        return _orientation_counts(self.words)
+        return _source_sets(self, graded=False)
 
     @_array
     def rk(self) -> np.ndarray:
         """(n!,) int32 rook placements on the complement of the south-west diagram."""
-        complement = _diagram_rows(self.words) ^ np.uint16((1 << self.n) - 1)
-        return permanents(complement).astype(np.int32)
+        return _rook_placements(self.words)
+
+    @_array
+    def deletions(self) -> np.ndarray:
+        """(n, n!) uint16: [d, k] = the rank in S_{n-1} of w_k with position d deleted."""
+        return _deletion_ranks(self)
 
     @_array
     def contains(self) -> np.ndarray:
         """(len(PATTERNS), n!) bool, row t for PATTERNS[t]."""
-        return _containment(self.words)
+        return _containment(self)
 
     @_array
     def ferrers(self) -> np.ndarray:
@@ -234,8 +245,7 @@ class GroupTable:
     @_array
     def distance(self) -> np.ndarray:
         """(n!, C(n, 2) + 1) uint16: [k, l] = #{regions of w_k at distance l}."""
-        distance = _orientation_counts(self.words, self.masks)
-        return distance.astype(np.uint16)
+        return _source_sets(self, graded=True).astype(np.uint16)
 
     @_array
     def re(self) -> np.ndarray:
@@ -376,9 +386,9 @@ def _weak_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms (w, J), J a nonempty subset of D_L(w), of the weak
     recursion W(w) = q^inv(w) + sum of (-1)^(|J|+1) W(w0(J) w), row by
-    row in ``order`` and by J within a row: the int32 rank of each
-    w0(J) w, its int8 sign, and the (n! + 1,) offsets of each row's
-    first term.
+    row in ``order`` and by J within a row: the uint16 rank of each
+    w0(J) w (at most 8! - 1), its int8 sign, and the (n! + 1,) offsets
+    of each row's first term.
     """
     n = words.shape[1]
     positions = np.argsort(words, axis=1)  # positions[:, v - 1]: where value v sits
@@ -386,13 +396,17 @@ def _weak_terms(
     for v in range(1, n):  # s_v is a left descent when v + 1 comes before v
         descents |= (positions[:, v] < positions[:, v - 1]).astype(np.uint8) << (v - 1)
     descents = descents[order]
+    # a word with d left descents has 2^d - 1 terms
+    counts = np.left_shift(1, POPCOUNT_16[descents], dtype=np.int64) - 1
+    first = np.concatenate(([0], np.cumsum(counts)))
     subsets = np.arange(1, 1 << (n - 1), dtype=np.uint8)
     # w0(J) w maps each letter through the value table of w0(J)
     longest = np.array(
         [_parabolic_longest(subset, n) for subset in subsets.tolist()], dtype=np.int8
     ).ravel()
     sign_of = np.where(POPCOUNT_16[subsets] % 2, 1, -1).astype(np.int8)
-    targets, signs = [], []
+    targets = np.empty(first[-1], dtype=np.uint16)
+    signs = np.empty(first[-1], dtype=np.int8)
     for lo in range(0, len(words), _WEAK_CHUNK):
         contained = (descents[lo : lo + _WEAK_CHUNK, None] & subsets) == subsets
         at, which = np.divmod(np.flatnonzero(contained), len(subsets))
@@ -400,55 +414,132 @@ def _weak_terms(
         offsets = which * (n + 1)
         for i in range(n):
             reduced[:, i] = longest[offsets + reduced[:, i]]
-        targets.append(_ranks(reduced))
-        signs.append(sign_of[which])
-    # a word with d left descents has 2^d - 1 terms
-    counts = np.left_shift(1, POPCOUNT_16[descents], dtype=np.int64) - 1
-    first = np.concatenate(([0], np.cumsum(counts)))
-    return np.concatenate(targets), np.concatenate(signs), first
+        run = slice(first[lo], first[lo + len(contained)])
+        targets[run] = _ranks(reduced)
+        signs[run] = sign_of[which]
+    return targets, signs, first
 
 
-def _orientation_counts(words: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
-    """ao of every row by inclusion-exclusion over increasing source sets.
+def _deletion_ranks(table: GroupTable) -> np.ndarray:
+    """(n, n!) uint16: [d, k] = the rank in S_{n-1} of w_k with position d
+    deleted, below 7! for n <= 8.
 
-    Given the rows' inversion masks, the recursion is graded by distance
-    and returns the (n!, C(n, 2) + 1) distance enumerators of the regions
-    instead: a source a in S lies above each neighbour b outside S, and
-    those edges with b < a separate the region from the base chamber.
+    Deleting position d keeps the code entries after d with their
+    weights, and those terms of the rank k of w_k sum to
+    k mod (n - 1 - d)!.  Each earlier entry c_a loses one where
+    w_a > w_d, and its weight drops from (n - 1 - a)! to (n - 2 - a)!.
+
+    >>> _deletion_ranks(group_table(3)).tolist()
+    [[0, 1, 0, 1, 0, 1], [0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 1, 1]]
     """
-    n = words.shape[1]
-    if masks is None:
-        smaller = [np.ones(1, dtype=np.int32)] + [group_table(k).ao for k in range(1, n)]
-        counts = np.zeros(len(words), dtype=np.int32)
-    else:
+    n, words = table.n, table.words
+    letters = np.ascontiguousarray(words.T)  # one contiguous row per position
+    # every partial sum is a rank of S_{n-1}, so the sums stay in uint16
+    codes = _lehmer_codes(words).T.astype(np.uint16)
+    ranks = np.arange(len(words), dtype=np.uint16)
+    deletions = np.empty((n, len(words)), dtype=np.uint16)
+    for d in range(n):
+        deletions[d] = ranks % factorial(n - 1 - d)
+        for a in range(d):
+            deletions[d] += (codes[a] - (letters[a] > letters[d])) * factorial(n - 2 - a)
+    return deletions
+
+
+def _source_sets(table: GroupTable, graded: bool) -> np.ndarray:
+    """ao of every row by inclusion-exclusion over increasing source sets,
+    or with ``graded`` the (n!, C(n, 2) + 1) distance enumerators.
+
+    Each increasing set S of positions is visited once, depth first, from
+    S minus its smallest position: adding a position s < min S keeps the
+    rows with w_s < w_min S and deletes s from their reduced words w - S
+    by the deletion ranks of S_{n - |S|}, where s keeps its index because
+    every position deleted so far is larger.  In the graded recursion a
+    source a in S lies above each earlier neighbour b with w_b > w_a,
+    none of them in S, and those edges separate the region from the base
+    chamber: S shifts by the sum over a in S of #{b < a : w_b > w_a}.
+    """
+    n, words = table.n, table.words
+    letters = np.ascontiguousarray(words.T)  # one contiguous row per position
+    deletions = [None] + [group_table(k).deletions for k in range(1, n)]
+    deletions.append(table.deletions)
+    if graded:
         smaller = [np.ones((1, 1), dtype=np.int32)] + [
             group_table(k).distance.astype(np.int32) for k in range(1, n)
         ]
         counts = np.zeros((len(words), n * (n - 1) // 2 + 1), dtype=np.int32)
-    pairs = list(itertools.combinations(range(n), 2))
-    for subset in range(1, 1 << n):
-        chosen = [i for i in range(n) if subset >> i & 1]
-        rest = [i for i in range(n) if not subset >> i & 1]
-        increasing = np.ones(len(words), dtype=bool)
-        for a, b in zip(chosen, chosen[1:]):
-            increasing &= words[:, a] < words[:, b]
-        rows = np.flatnonzero(increasing)
-        sign = 1 if len(chosen) % 2 else -1
-        below = sign * smaller[len(rest)][_ranks(words[np.ix_(rows, rest)])]
-        if masks is None:
+        # above[a] = #{b < a : w_b > w_a}
+        above = [(letters[:a] > letters[a]).sum(axis=0, dtype=np.uint8) for a in range(n)]
+    else:
+        smaller = [np.ones(1, dtype=np.int32)] + [group_table(k).ao for k in range(1, n)]
+        counts = np.zeros(len(words), dtype=np.int32)
+
+    def visit(size: int, low: int, rows: np.ndarray, reduced: np.ndarray, shift) -> None:
+        below = smaller[n - size][reduced]
+        if size % 2 == 0:
+            np.negative(below, out=below)
+        if not graded:
             counts[rows] += below
-            continue
-        # the slots (b, a), b < a, a in S, b not in S, grouped by how many
-        # of them are edges, so that each shift is one slice
-        across = sum(1 << t for t, (b, a) in enumerate(pairs) if a in chosen and b in rest)
-        shifts = popcounts(masks[rows] & np.uint32(across))
-        order = np.argsort(shifts, kind="stable")
-        rows, below = rows[order], below[order]
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(shifts)))).tolist()
-        for shift, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if lo < hi:
-                counts[rows[lo:hi], shift : shift + below.shape[1]] += below[lo:hi]
+        else:
+            # the rows grouped by shift, so that each shift is one slice
+            order = np.argsort(shift, kind="stable")
+            bounds = np.concatenate(([0], np.cumsum(np.bincount(shift)))).tolist()
+            for offset, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if lo < hi:
+                    run = order[lo:hi]
+                    counts[rows[run], offset : offset + below.shape[1]] += below[run]
+        top = letters[low, rows]
+        for s in range(low):
+            keep = np.flatnonzero(letters[s, rows] < top)
+            if len(keep):
+                kept = rows[keep]
+                grown = shift[keep] + above[s][kept] if graded else None
+                visit(size + 1, s, kept, deletions[n - size][s][reduced[keep]], grown)
+
+    everything = np.arange(len(words))
+    for low in range(n):
+        visit(1, low, everything, table.deletions[low], above[low] if graded else None)
     return counts
+
+
+def _rook_placements(words: np.ndarray) -> np.ndarray:
+    """rk of every row: rook placements on the complement board, one row
+    at a time down the tree of prefixes.
+
+    Row i of the complement of the south-west diagram of w is
+    {c <= w_i} together with {w_1, ..., w_(i-1)}, so it depends only on
+    the prefix w_1..w_i, and the words of one prefix are one run of the
+    lexicographic order.  counts[U, node] counts the placements in rows
+    1..i of the prefix ``node`` of length i that use the columns U,
+    |U| = i, indexed among the i-subsets in ascending mask order; each
+    node's children repeat its column, and each column c adds the
+    placements of the children whose row i holds c.  Row n is full, so rk
+    is the column sum at depth n - 1.
+    """
+    n = words.shape[1]
+    masks = np.arange(1 << n)
+    sizes = POPCOUNT_16[masks]
+    index = np.empty(1 << n, dtype=np.intp)  # a mask's place among the masks of its size
+    for size in range(n + 1):
+        index[sizes == size] = np.arange(int((sizes == size).sum()))
+    counts = np.ones((1, 1), dtype=np.uint16)  # at most i! placements of i rooks
+    placed = np.zeros(1, dtype=np.int32)  # the letters of each prefix, as a mask
+    for i in range(1, n):
+        letter = words[:: factorial(n - i), i - 1].astype(np.int32)  # w_i at each node
+        children = n - i + 1
+        placed = np.repeat(placed, children)
+        # the state is stored subset-major, each subset's row contiguous
+        # over the nodes: 1.7 times faster at n = 8 than node-major
+        grown = np.zeros((int((sizes == i).sum()), len(letter)), dtype=np.uint16)
+        used = masks[sizes == i - 1]
+        for c in range(n):  # a rook in column c + 1
+            allowed = (letter > c) | (placed >> c & 1 == 1)
+            free = used[used >> c & 1 == 0]
+            parents = np.repeat(counts[index[free]], children, axis=1)
+            parents *= allowed
+            grown[index[free | 1 << c]] += parents
+        counts = grown
+        placed |= 1 << (letter - 1)
+    return counts.sum(axis=0, dtype=np.int32)
 
 
 def _product_polynomials(code: np.ndarray) -> np.ndarray:
@@ -488,17 +579,17 @@ def _gate_counts(table: GroupTable) -> np.ndarray:
     return counts.astype(np.int32)
 
 
-def _containment(words: np.ndarray) -> np.ndarray:
+def _containment(table: GroupTable) -> np.ndarray:
     """Pattern containment rows: the pattern itself, or a one-letter deletion."""
-    n = words.shape[1]
-    contains = np.zeros((len(PATTERNS), len(words)), dtype=bool)
+    n = table.n
+    contains = np.zeros((len(PATTERNS), factorial(n)), dtype=bool)
     for t, pattern in enumerate(PATTERNS):
         if pattern.n == n:
             contains[t, _ranks(np.array([pattern.word]))[0]] = True
     if n > 1:
         smaller = group_table(n - 1).contains
-        for d in range(n):
-            contains |= smaller[:, _ranks(np.delete(words, d, axis=1))]
+        for ranks in table.deletions:
+            contains |= smaller[:, ranks]
     return contains
 
 

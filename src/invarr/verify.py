@@ -31,18 +31,19 @@ subsets (Bjoerner and Brenti, GTM 231, section 3.2), br and the Bruhat
 length counts by Fulton's essential-set criterion evaluated for the
 whole group on packed bitsets, ao by inclusion-exclusion over source
 sets (Stanley, Discrete Math. 5, 1973) and the distance enumerators by
-the same recursion graded by distance, rk by one batched Ryser
-permanent, the pattern flags by one-letter deletion, the product
-polynomials by prefix sums over the Lehmer codes, and re by counting
-the gate chambers of the regions.  ``stat_record`` computes the same
-fields by the per-record routes (the weak filter, the essential-set
-filter ``GroupTable.bruhat_below``, the chromatic polynomial from
-partitions into independent sets, the Ryser permanent of one board,
-pattern backtracking, ``orders.product_q_formula`` and the gate filter
-``arrangement.regions``); these, with backtracking rook search for rk
-and with the region sort ``arrangement.regions_by_sort`` in place of
-the gate filter, which shares the gate rule with the re column, are the
-columns' oracles.  Both hand a record's field values, in
+the same recursion graded by distance, both composing one-letter
+deletions, rk by placing one rook per row down the tree of prefixes,
+the pattern flags by one-letter deletion, the product polynomials by
+prefix sums over the Lehmer codes, and re by counting the gate chambers
+of the regions.  ``stat_record`` computes the same fields by the
+per-record routes (the weak filter, the essential-set filter
+``GroupTable.bruhat_below``, the chromatic polynomial from partitions
+into independent sets, the Ryser permanent of one board, pattern
+backtracking, ``orders.product_q_formula`` and the gate filter
+``arrangement.regions``); these, with backtracking rook search as a
+second oracle for rk and with the region sort
+``arrangement.regions_by_sort`` in place of the gate filter, which
+shares the gate rule with the re column, are the columns' oracles.  Both hand a record's field values, in
 ``StatRecord`` order, to the one record assembly, ``_build_record``,
 which builds the record, a NamedTuple, by position.
 
@@ -696,6 +697,11 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
             return "Ferrers column disagrees with the diagram"
         return ""
 
+    def rook_count_column_body(rank: int, w: Permutation) -> str:
+        column = int(group_table(w.n).rk[rank])
+        route = rook.rook_count(w)
+        return "" if column == route else f"column {column} vs Ryser permanent {route}"
+
     def pattern_column_body(rank: int, w: Permutation) -> str:
         column = group_table(w.n).contains[:, rank].tolist()
         route = [contains_pattern(w, p) for p in PATTERNS]
@@ -716,6 +722,7 @@ def oracle_checks(n: int) -> list[OracleCheckResult]:
     run("weak_column_vs_filter", 7, weak_column_body)
     run("orientation_column_vs_color_partitions", 7, orientation_column_body)
     run("rook_column_vs_backtracking", 6, rook_column_body)
+    run("rook_column_vs_rook_count", 7, rook_count_column_body)
     run("pattern_columns_vs_backtracking", 7, pattern_column_body)
     run("bruhat_column_vs_essential_filter", 7, bruhat_column_body)
     run("product_column_vs_product_formula", 7, product_column_body)

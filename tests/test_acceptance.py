@@ -316,6 +316,7 @@ def test_criterion_12_oracle_equivalences():
         "weak_column_vs_filter": 6,
         "orientation_column_vs_color_partitions": 6,
         "rook_column_vs_backtracking": 6,
+        "rook_column_vs_rook_count": 6,
         "pattern_columns_vs_backtracking": 6,
         "bruhat_column_vs_essential_filter": 6,
         "product_column_vs_product_formula": 6,

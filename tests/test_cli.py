@@ -212,7 +212,7 @@ class TestOracleCheck:
         code, out, _ = run_cli(capsys, "oracle-check", "--n", "2")
         assert code == 0
         lines = out.splitlines()
-        assert len(lines) == 13
+        assert len(lines) == 14
         assert all(line.endswith("PASS") for line in lines)
         assert lines[0] == "bruhat_dominance_vs_chain_closure: n=2 PASS"
 
@@ -221,7 +221,7 @@ class TestOracleCheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert len(doc["checks"]) == 13
+        assert len(doc["checks"]) == 14
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         fake = [verify.OracleCheckResult(name="x", n=2, passed=False, detail="boom")]

@@ -3,8 +3,9 @@
 Each column is compared with a per-record route that shares no
 arithmetic with it: the weak polynomials (Moebius recursion)
 against the weak filter, ao (source sets) against the chromatic
-polynomial from color partitions, rk (batched Ryser) against
-backtracking rook search, the pattern flags (one-letter deletion)
+polynomial from color partitions, rk (rook placement row by row down
+the prefix tree) against backtracking rook search and the batched Ryser
+permanent, the pattern flags (one-letter deletion)
 against pattern backtracking, the Ferrers flag against the diagram
 test, the product polynomials (prefix sums) against
 ``product_q_formula``, and the distance enumerators (graded source sets)
@@ -38,8 +39,8 @@ from invarr.qpoly import QPolynomial
 S8_SAMPLE_SEED = 20261018
 
 
-# The fields that no n = 7 row of oracle_checks compares: rk and the
-# Ferrers flag have their row capped at n = 6.
+# The fields that no n = 7 row of oracle_checks compares with these
+# routes: rk's backtracking row and the Ferrers flag are capped at n = 6.
 def _own_route_values(w: Permutation) -> tuple:
     diagram = rook.southwest_diagram(w)
     return (
@@ -142,6 +143,21 @@ def test_s8_catalan_avoiders_and_rk_equals_ao():
     assert len(table.rk) == factorial(8)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rk_column_equals_the_ryser_permanents_of_the_complement_boards(n):
+    table = group_table(n)
+    complement = columns._diagram_rows(table.words) ^ np.uint16((1 << n) - 1)
+    assert table.rk.tolist() == rook.permanents(complement).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_deletion_ranks_are_the_ranks_of_the_deleted_words(n):
+    table = group_table(n)
+    for d in range(n):
+        deleted = np.delete(table.words, d, axis=1)
+        assert table.deletions[d].tolist() == columns._ranks(deleted).tolist(), d
+
+
 def test_ao_column_matches_networkx_chromatic_polynomial():
     nx = pytest.importorskip("networkx")
     graphs = 0
@@ -171,6 +187,9 @@ def test_read_only_cached_and_bounded():
             assert not array.flags.writeable, name
             rows = array.shape[0] if name in matrices else array.shape[-1]
             assert rows == factorial(n), name
+        assert table.deletions is table.deletions and not table.deletions.flags.writeable
+        assert table.deletions.shape == (n, factorial(n))
+        assert table.deletions.dtype == np.uint16
         assert table.code.dtype == np.uint8 and table.contains.dtype == bool
         for name in polynomials:
             array = getattr(table, name)
@@ -304,4 +323,6 @@ def test_a_sweep_builds_no_unread_column_of_the_smaller_groups():
     verify.sweep(7)
     unread = {"bruhat", "rk", "weak", "wk", "code", "prod", "ferrers", "dom"}
     for n in range(1, 7):
+        # the ao and pattern builds of S_7 read the deletion ranks of S_1..S_6
         assert not unread & set(vars(group_table(n))), n
+        assert "deletions" in vars(group_table(n)), n

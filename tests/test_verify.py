@@ -639,6 +639,7 @@ class TestOracleChecks:
             "weak_column_vs_filter",
             "orientation_column_vs_color_partitions",
             "rook_column_vs_backtracking",
+            "rook_column_vs_rook_count",
             "pattern_columns_vs_backtracking",
             "bruhat_column_vs_essential_filter",
             "product_column_vs_product_formula",
@@ -660,6 +661,7 @@ class TestOracleChecks:
         assert by_name["weak_column_vs_filter"] == 7
         assert by_name["orientation_column_vs_color_partitions"] == 7
         assert by_name["rook_column_vs_backtracking"] == 6
+        assert by_name["rook_column_vs_rook_count"] == 7
         assert by_name["pattern_columns_vs_backtracking"] == 7
         assert by_name["bruhat_column_vs_essential_filter"] == 7
         assert by_name["product_column_vs_product_formula"] == 7
