@@ -67,8 +67,8 @@ word at once: u <= w exactly when the dominance counts of u lie below
 those of w on the cells of Fulton's essential set of w0 w (Duke Math.
 J. 65, 1992).  Each (dominance column, bound) pair becomes one packed
 bitset over S_n, the bit axis ordered by length, and a row of length
-counts is the AND of the bitsets of its essential cells, popcounted one
-length segment at a time.
+counts is the AND of the bitsets of its essential cells, bit-counted
+word by word and summed one length segment at a time.
 
 >>> table = group_table(3)
 >>> table.wk.tolist(), table.ao.tolist(), table.rk.tolist()
@@ -114,9 +114,11 @@ _BRUHAT_CHUNK = 256
 # are reused from the heap; passes of 8192 words left the peak of an S8
 # ``counts`` sweep 8 MiB higher.
 _WEAK_CHUNK = 2048
-# Words per pass of the gate count: 512 rows of fits of the 4140 distinct
-# lower-wall sets of S_8 are 8.5 MB as uint32.
-_GATE_CHUNK = 512
+# Words per pass of the gate count: 128 rows of fits of the 4140 distinct
+# lower-wall sets of S_8 are 2.1 MB as uint32.  Freed temporaries of 4.5 MB
+# raised the peak of a cold S8 sweep, since glibc's mmap threshold grows to
+# the largest block freed.
+_GATE_CHUNK = 128
 
 # The distinct patterns of the characterizations, one containment row each.
 PATTERNS: tuple[Permutation, ...] = tuple(
@@ -565,18 +567,22 @@ def _gate_counts(table: GroupTable) -> np.ndarray:
     L(u) holds the slots (i, j), i < j, with u_i = u_j + 1: the walls
     between the chamber of u and the chambers below it in weak order.
     Each region of the arrangement of I(w) has exactly one such chamber,
-    its gate.  L (``GroupTable.lower``) takes Bell(n) distinct values, so
-    the count is one product of the fits of the distinct walls with their
-    multiplicities, in float32, exact for sums below 2^24.
+    its gate.  L (``GroupTable.lower``) takes Bell(n) distinct values;
+    sorted by how many chambers share each, the fits of one multiplicity
+    form one run, so a row's count is one integer sum per run (18 runs at
+    n = 8), weighted by the multiplicities.
     """
     walls, sizes = np.unique(table.lower, return_counts=True)
-    weights = sizes.astype(np.float32)
+    order = np.argsort(sizes, kind="stable")
+    walls = walls[order]
+    multiplicities, runs = np.unique(sizes[order], return_index=True)
     outside = ~table.masks
-    counts = np.empty(len(outside), dtype=np.float32)
+    counts = np.empty(len(outside), dtype=np.int32)
     for lo in range(0, len(outside), _GATE_CHUNK):
         fits = (walls & outside[lo : lo + _GATE_CHUNK, None]) == 0
-        counts[lo : lo + _GATE_CHUNK] = fits @ weights
-    return counts.astype(np.int32)
+        per_run = np.add.reduceat(fits.view(np.uint8), runs, axis=1, dtype=np.uint16)
+        counts[lo : lo + _GATE_CHUNK] = per_run @ multiplicities
+    return counts
 
 
 def _containment(table: GroupTable) -> np.ndarray:
@@ -631,9 +637,10 @@ def _bruhat_counts(table: GroupTable) -> np.ndarray:
     index row c (n + 1) + b holds {u : dom[u, c] <= b} as packed bits, the
     bit axis sorted by length with each length class padded to whole
     64-bit words, so a row of counts is the AND of its cells' bitsets,
-    popcounted segment by segment.  Only the segments of lengths up to
-    inv(w) can hold a u <= w.  w0, whose essential set is empty, lies
-    above every word.
+    bit-counted one 64-bit word at a time (``_popcount64``) and summed
+    segment by segment.  Only the segments of lengths up to inv(w) can
+    hold a u <= w.  w0, whose essential set is empty, lies above every
+    word.
     """
     n, inv, dom = table.n, table.inv, table.dom
     lengths = np.bincount(inv)  # the Mahonian numbers: every length occurs
@@ -672,8 +679,38 @@ def _bruhat_counts(table: GroupTable) -> np.ndarray:
             below = index[cell[:, 0], : segments[top]]
             for t in range(1, size):
                 below &= index[cell[:, t], : segments[top]]
-            ones = POPCOUNT_16[below.view(np.uint16)]
-            counts[rows, :top] = np.add.reduceat(
-                ones, 4 * segments[:top], axis=1, dtype=np.uint16
-            )
+            counts[rows, :top] = np.add.reduceat(_popcount64(below), segments[:top], axis=1)
     return counts
+
+
+# The masks and shifts of the SWAR bit count, as uint64 scalars: NumPy 1.x
+# turns uint64 with a Python int into float64.
+_M1, _M2, _M4, _H01 = map(
+    np.uint64, (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+_S1, _S2, _S4, _S56 = map(np.uint64, (1, 2, 4, 56))
+
+
+def _popcount64(words: np.ndarray) -> np.ndarray:
+    """The bit count of each uint64 of ``words``, written over ``words``.
+
+    The SWAR count (Warren, *Hacker's Delight*, section 5-1): bit pairs,
+    then nibbles, then bytes summed by one multiplication, with one
+    temporary of the size of ``words``; ``np.bitwise_count`` is NumPy 2 only.
+
+    >>> _popcount64(np.array([0, 1, 2**64 - 1, 0xF0F0], dtype=np.uint64)).tolist()
+    [0, 1, 64, 8]
+    """
+    half = words >> _S1
+    half &= _M1
+    words -= half
+    np.right_shift(words, _S2, out=half)
+    half &= _M2
+    words &= _M2
+    words += half
+    np.right_shift(words, _S4, out=half)
+    words += half
+    words &= _M4
+    words *= _H01
+    words >>= _S56
+    return words

@@ -4,6 +4,7 @@ Everything drives cli.run() in-process; stdout and stderr are captured
 by pytest's capsys so the tests see exactly what a shell would.
 """
 
+import dataclasses
 import json
 import re
 
@@ -192,14 +193,11 @@ class TestSweep:
         assert "--long" in err
 
     def test_violations_exit_1(self, capsys, monkeypatch):
-        fake = verify.SweepReport(
-            n=3,
-            depth="counts",
-            records=(),
+        fake = dataclasses.replace(
+            verify.sweep(3),
             violations=(
                 {"rank": 0, "w": [1, 2, 3], "check": "ao_eq_rk", "detail": "fake"},
             ),
-            class_counts={},
         )
         monkeypatch.setattr(verify, "sweep", lambda *a, **k: fake)
         code, _, err = run_cli(capsys, "sweep", "--n", "3")

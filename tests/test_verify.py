@@ -168,6 +168,7 @@ def _one_record_fields(record):
         return None if p is None else one(p.coeffs + (0,) * (width - len(p.coeffs)), np.uint64)
 
     return verify._Fields(
+        w=one(record.w, np.int8),
         code=one(record.code, np.uint8),
         inv=one(record.inv),
         prod=one(record.prod),
@@ -575,9 +576,15 @@ def _csv_cell(value):
     return str(value)
 
 
+# Ranks per chunk of the report writer under test: with 1 every record
+# ends a chunk, 6 divides n! exactly for n >= 3, 7 divides no n! of S1-S6,
+# and the default holds each of them in one chunk.
+EMIT_CHUNKS = (1, 6, 7, verify._EMIT_CHUNK)
+
+
 class TestRecordWriters:
-    """The template writers against ``json.dumps`` and the stdlib ``csv``
-    reader, which know nothing of the templates."""
+    """The report writer and ``_record_json`` against ``json.dumps`` and the
+    stdlib ``csv`` reader, which know nothing of the writers."""
 
     def test_the_record_fields_are_in_the_order_of_every_writer(self):
         # _build_record takes the fields by position, so StatRecord's field
@@ -615,16 +622,27 @@ class TestRecordWriters:
         assert verify.emit_report(report, "json") == _json_report_by_dicts(report)
 
     @pytest.mark.parametrize("depth", verify.DEPTHS)
-    def test_csv_rows_parse_back_to_the_dicts(self, depth):
+    def test_json_report_matches_the_dict_oracle_in_chunks(self, monkeypatch, depth):
         for n in range(1, 7):
             report = verify.sweep(n, depth)
-            text = verify.emit_report(report, "csv").decode()
-            rows = list(csv.reader(io.StringIO(text, newline="")))
-            assert rows[0] == RECORD_KEYS
-            assert len(rows) == len(report.records) + 1
-            for row, record in zip(rows[1:], report.records):
-                expected = [_csv_cell(v) for v in record.to_json_dict().values()]
-                assert row == expected, record.w
+            expected = _json_report_by_dicts(report)
+            for chunk in EMIT_CHUNKS:
+                monkeypatch.setattr(verify, "_EMIT_CHUNK", chunk)
+                assert verify.emit_report(report, "json") == expected, (n, chunk)
+
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_csv_rows_parse_back_to_the_dicts(self, monkeypatch, depth):
+        for n in range(1, 7):
+            report = verify.sweep(n, depth)
+            for chunk in EMIT_CHUNKS:
+                monkeypatch.setattr(verify, "_EMIT_CHUNK", chunk)
+                text = verify.emit_report(report, "csv").decode()
+                rows = list(csv.reader(io.StringIO(text, newline="")))
+                assert rows[0] == RECORD_KEYS
+                assert len(rows) == len(report.records) + 1, (n, chunk)
+                for row, record in zip(rows[1:], report.records):
+                    expected = [_csv_cell(v) for v in record.to_json_dict().values()]
+                    assert row == expected, (record.w, chunk)
 
 
 class TestOracleChecks:
