@@ -96,7 +96,7 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.n >= 8 and not args.long:
         print(
-            "error: a full sweep of S_8 took 1.3-4.1 s from a cold start "
+            "error: a full sweep of S_8 took 1.1-2.5 s from a cold start "
             "and wrote 11.8-20.5 MiB of JSON (2 vCPU Xeon); pass --long to confirm",
             file=sys.stderr,
         )

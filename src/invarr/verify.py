@@ -600,7 +600,7 @@ def _poly_cells(column: np.ndarray, format: str) -> tuple[np.ndarray, np.ndarray
         cells = [str(c) for c in coeffs]
     else:
         cells = ['"%s"' % " ".join(map(str, c)) for c in coeffs]
-    return np.array(cells, dtype=object), inverse.ravel()
+    return np.array(cells, dtype=object), inverse
 
 
 def _record_chunks(fields: _Fields, format: str) -> Iterator[bytes]:
