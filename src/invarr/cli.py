@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 import time
-from pathlib import Path
+from contextlib import nullcontext
 
 from . import arrangement, orders, verify
 from .perm import parse_permutation
@@ -40,7 +40,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     w = _parse_word_args(args.w)
     record = verify.stat_record(w, depth=args.depth)
     if args.format == "json":
-        print(verify._record_json(record))
+        print(json.dumps(record.to_json_dict()))
         return 0
     re_text = "-" if record.re is None else str(record.re)
     print(f"w={' '.join(str(v) for v in record.w)}")
@@ -101,16 +101,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    start = time.perf_counter()
-    report = verify.sweep(args.n, depth=args.depth)
-    emit_start = time.perf_counter()
-    payload = verify.emit_report(report, format=args.format)
-    if args.output:
-        Path(args.output).write_bytes(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    end = time.perf_counter()
+    # Open the output before sweeping, so that an unwritable path fails at once.
+    with open(args.output, "wb") if args.output else nullcontext(sys.stdout.buffer) as out:
+        start = time.perf_counter()
+        report = verify.sweep(args.n, depth=args.depth)
+        emit_start = time.perf_counter()
+        out.write(verify.emit_report(report, format=args.format))
+        out.flush()
+        end = time.perf_counter()
     seconds = end - start
     print(
         f"n={report.n} depth={report.depth} records={len(report.records)} "

@@ -65,10 +65,12 @@ composed from the codes once per group (``GroupTable.deletions``).
 The Bruhat column evaluates the criterion of ``bruhat_below`` for every
 word at once: u <= w exactly when the dominance counts of u lie below
 those of w on the cells of Fulton's essential set of w0 w (Duke Math.
-J. 65, 1992).  Each (dominance column, bound) pair becomes one packed
-bitset over S_n, the bit axis ordered by length, and a row of length
-counts is the AND of the bitsets of its essential cells, bit-counted
-word by word and summed one length segment at a time.
+J. 65, 1992), which ``essential_cells`` finds for both.  Each (dominance
+column, bound) pair becomes one packed bitset over S_n, the bit axis
+ordered by length, and a row of length counts is the AND of the bitsets
+of its essential cells, bit-counted word by word and summed one length
+segment at a time.  Its independent checks are the chain closure of
+``orders.bruhat_interval_by_chains`` and the full dominance compare.
 
 >>> table = group_table(3)
 >>> table.wk.tolist(), table.ao.tolist(), table.rk.tolist()
@@ -99,7 +101,6 @@ from .perm import (
     WEAK_EQUALITY_PATTERNS,
     Permutation,
     Word,
-    _essential_conditions,
     iter_words,
     popcounts,
 )
@@ -140,6 +141,38 @@ def _array(build):
     return cached_property(read_only)
 
 
+def essential_cells(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and ``GroupTable.dom`` columns of the essential cells of
+    w0 w, for every row w of the (m, n) ``words``, in row order.
+
+    With v = w0 w (v_i = n + 1 - w_i), u <= w in Bruhat order exactly when
+    r_{w0 u} <= r_v at every cell, where r_v(i, j) = #{a <= i : v_a <= j}
+    = #{a <= i : w_a > n - j} is the count of w in dom column
+    (i - 1) n + n - j.  By Fulton (Flags, Schubert polynomials, degeneracy
+    loci, and determinantal formulas, Duke Math. J. 65, 1992) the cells
+    of the essential set of v imply all the others: the cells (i, j) of
+    the Rothe diagram D(v) = {(i, j) : v_i > j, v^-1(j) > i} with neither
+    (i + 1, j) nor (i, j + 1) in D(v).  Laid out as dom is, cell (i, j)
+    sits at [i - 1, n - j], and it is in D(v) when w_i <= n - j and the
+    value n - j + 1 of w lies after position i.  The set is empty only
+    for w = w0, which imposes no condition.
+
+    >>> rows, columns = essential_cells(np.array([[2, 1, 3], [3, 2, 1]]))
+    >>> rows.tolist(), columns.tolist()
+    ([0], [5])
+    >>> int(group_table(3).dom[2, 5])  # the bound of 213, rank 2
+    0
+    """
+    m, n = words.shape
+    position = np.argsort(words, axis=1)  # position[:, v - 1]: where value v sits, from 0
+    index = np.arange(n)
+    diagram = (words[:, :, None] <= index) & (position[:, None, :] > index[:, None])
+    essential = diagram.copy()
+    essential[:, :-1] &= ~diagram[:, 1:]  # (i + 1, j) is the next row
+    essential[:, :, 1:] &= ~diagram[:, :, :-1]  # (i, j + 1) is the previous column
+    return np.nonzero(essential.reshape(m, n * n))
+
+
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """Every word of S_n and its statistics, row k for lexicographic rank k.
@@ -150,7 +183,7 @@ class GroupTable:
     u <= w exactly when dom[u] <= dom[w] entrywise.  It is stored
     column-major, each column one contiguous run, because
     ``bruhat_below`` reads only the few columns of Fulton's essential
-    set of w0 w (see ``perm._essential_conditions``).
+    set of w0 w (``essential_cells``).
     """
 
     n: int
@@ -268,15 +301,21 @@ class GroupTable:
         return (self.masks & ~np.uint32(target_mask)) == 0
 
     def bruhat_below(self, word: Word) -> np.ndarray:
-        """Rows u <= ``word`` in Bruhat order, by the essential-set columns.
+        """Rows u <= ``word`` in Bruhat order: dom[u] at most the word's own
+        dominance counts on the columns of ``essential_cells``.
 
         The route of ``verify.stat_record`` and ``orders.bruhat_interval``
-        for one word, and the oracle of the ``bruhat`` column, which
-        evaluates the same conditions for every word at once.
+        for one word.  The ``bruhat`` column reads the same cells for every
+        word at once, so the two share the criterion and are checked
+        against each other for the bitset arithmetic only.
         """
+        _, columns = essential_cells(np.array([word]))
         below = np.ones(len(self.dom), dtype=bool)
-        for column, bound in _essential_conditions(word):
-            below &= self.dom[:, column] <= bound
+        for column in columns.tolist():
+            i, j = divmod(column, self.n)
+            # the word's own count #{a <= i + 1 : w_a > j}: a few cells of a
+            # short word, which numpy would only slow down
+            below &= self.dom[:, column] <= sum(v > j for v in word[: i + 1])
         return below
 
     def region_signs(self, target_mask: int) -> np.ndarray:
@@ -610,33 +649,14 @@ def _diagram_rows(words: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _essential_cells(words: np.ndarray) -> np.ndarray:
-    """(m, n, n) bool: [k, i - 1, j - 1] when (i, j) is in the essential set of w0 w_k.
-
-    With v = w0 w (v_i = n + 1 - w_i) the Rothe diagram is
-    D(v) = {(i, j) : v_i > j, v^-1(j) > i}, and a cell of D(v) is
-    essential when neither (i + 1, j) nor (i, j + 1) is in D(v); the
-    same cells as ``perm._essential_conditions``.
-    """
-    n = words.shape[1]
-    v = n + 1 - words
-    position = np.argsort(v, axis=1) + 1  # position[:, j - 1] = v^-1(j)
-    index = np.arange(1, n + 1)
-    diagram = (v[:, :, None] > index) & (position[:, None, :] > index[:, None])
-    essential = diagram.copy()
-    essential[:, :-1] &= ~diagram[:, 1:]
-    essential[:, :, :-1] &= ~diagram[:, :, 1:]
-    return essential
-
-
 def _bruhat_counts(table: GroupTable) -> np.ndarray:
     """(n!, C(n, 2) + 1) uint16 Bruhat interval sizes by length, row k for w_k.
 
-    u <= w exactly when dom[u, c] <= dom[w, c] for the dominance column
-    c = (i - 1) n + n - j of every essential cell (i, j) of w0 w.  The
-    index row c (n + 1) + b holds {u : dom[u, c] <= b} as packed bits, the
-    bit axis sorted by length with each length class padded to whole
-    64-bit words, so a row of counts is the AND of its cells' bitsets,
+    u <= w exactly when dom[u, c] <= dom[w, c] for the dom column c of
+    every essential cell of w0 w (``essential_cells``).  The index row
+    c (n + 1) + b holds {u : dom[u, c] <= b} as packed bits, the bit axis
+    sorted by length with each length class padded to whole 64-bit
+    words, so a row of counts is the AND of its cells' bitsets,
     bit-counted one 64-bit word at a time (``_popcount64``) and summed
     segment by segment.  Only the segments of lengths up to inv(w) can
     hold a u <= w.  w0, whose essential set is empty, lies above every
@@ -659,9 +679,7 @@ def _bruhat_counts(table: GroupTable) -> np.ndarray:
     index = index.reshape(n * n * (n + 1), segments[-1])
 
     # the essential cells of each word as index rows, word by word
-    ranks, cells = np.nonzero(_essential_cells(table.words).reshape(len(inv), n * n))
-    column_of_cell = (n * np.arange(n)[:, None] + np.arange(n - 1, -1, -1)).ravel()
-    columns = column_of_cell[cells]
+    ranks, columns = essential_cells(table.words)
     conditions = (n + 1) * columns + dom[ranks, columns]
     sizes = np.bincount(ranks, minlength=len(inv))
     first = np.concatenate(([0], np.cumsum(sizes)))

@@ -4,8 +4,7 @@ A permutation is the word (w_1, ..., w_n) of its values; positions and
 values are 1-based at every public boundary.  This module owns the
 vocabulary the rest of the library consumes: inversion sets realized as
 bit masks over the C(n, 2) position pairs, Lehmer codes and their
-products, pattern containment, bit counts of masks and the
-essential-set conditions of Bruhat order.
+products, pattern containment and bit counts of masks.
 
 The inversion set of w is I(w) = {(i, j) : i < j, w_i > w_j}, a set of
 POSITION pairs.  Pair (i, j) with i < j is assigned the bit slot given
@@ -379,40 +378,3 @@ def popcounts(masks: np.ndarray) -> np.ndarray:
     """
     return POPCOUNT_16[masks & 0xFFFF] + POPCOUNT_16[masks >> 16]
 
-
-def _essential_conditions(word: Word) -> list[tuple[int, int]]:
-    """The (dom column, bound) pairs that decide u <= ``word`` in Bruhat order.
-
-    With v = w0 w (v_i = n + 1 - w_i), the dominance count of u in column
-    (i - 1) n + (n - j) is r_{w0 u}(i, j) = #{a <= i : (w0 u)_a <= j}, and
-    u <= w exactly when r_{w0 u} <= r_v at every cell.  By Fulton (Flags,
-    Schubert polynomials, degeneracy loci, and determinantal formulas,
-    Duke Math. J. 65, 1992) the cells of the essential set of v imply all
-    the others: the cells (i, j) of the Rothe diagram
-    D(v) = {(i, j) : v_i > j, v^-1(j) > i} with neither (i + 1, j) nor
-    (i, j + 1) in D(v).  The set is empty only for w = w0, which imposes
-    no condition.
-
-    >>> _essential_conditions((2, 1, 3))
-    [(5, 0)]
-    >>> _essential_conditions((3, 2, 1))
-    []
-    """
-    n = len(word)
-    v = [n + 1 - x for x in word]
-    position = [0] * (n + 1)  # position[j] = v^-1(j), 1-based
-    for a, x in enumerate(v, start=1):
-        position[x] = a
-
-    def in_diagram(i: int, j: int) -> bool:
-        return i <= n and j <= n and v[i - 1] > j and position[j] > i
-
-    conditions = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if not in_diagram(i, j):
-                continue
-            if not in_diagram(i + 1, j) and not in_diagram(i, j + 1):
-                bound = sum(1 for x in v[:i] if x <= j)
-                conditions.append(((i - 1) * n + n - j, bound))
-    return conditions

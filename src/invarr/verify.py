@@ -43,9 +43,12 @@ backtracking, ``orders.product_q_formula`` and the gate filter
 ``arrangement.regions``); these, with backtracking rook search as a
 second oracle for rk and with the region sort
 ``arrangement.regions_by_sort`` in place of the gate filter, which
-shares the gate rule with the re column, are the columns' oracles.  Both hand a record's field values, in
-``StatRecord`` order, to the one record assembly, ``_build_record``,
-which builds the record, a NamedTuple, by position.
+shares the gate rule with the re column, are the columns' oracles.  The
+Bruhat filter shares its essential cells with the br column, whose
+independent checks are chain closure and the full dominance compare.
+Both hand a record's field values, in ``StatRecord`` order, to the one
+record assembly, ``_build_record``, which builds the record, a
+NamedTuple, by position.
 
 The per-record routes and the regions read only the same table's
 words, masks, inversion counts, dominance counts and lower walls, which
@@ -68,9 +71,8 @@ column once per distinct row), set between constant separators in one
 object array, joined into one string and encoded.
 ``StatRecord.to_json_dict`` stays the definition of a record's JSON: the
 writer must reproduce ``json.dumps`` of the records' dicts byte for
-byte, as ``_record_json``, the one-record writer of ``invarr stats``,
-must for one record; the violations, which are rare, keep their dicts
-and go through ``json.dumps`` itself.
+byte, and ``invarr stats`` and the violations, which are rare, go
+through ``json.dumps`` of the dicts themselves.
 
 >>> report = sweep(3, depth="with_region_oracle")
 >>> [r.wk for r in report.records]
@@ -191,8 +193,9 @@ class OracleCheckResult:
 @dataclass(frozen=True)
 class _Fields:
     """The fields of every rank of a sweep at once, one array row per rank:
-    the words and codes as small ints, the counts as int64, the flags as
-    bool and the polynomials as unsigned coefficient rows of one width.
+    the words and codes as small ints, the counts in the dtypes the group
+    table stores them in, the flags as bool and the polynomials as
+    unsigned coefficient rows of one width.
     The polynomials are None at depth ``counts`` and re is None below
     depth ``with_region_oracle``."""
 
@@ -261,19 +264,19 @@ def _sweep_fields(n: int, depth: str) -> _Fields:
     return _Fields(
         table.words,
         table.code,
-        table.code.sum(axis=1, dtype=np.int64),
-        table.prod.astype(np.int64),
-        table.wk.astype(np.int64),
+        table.inv,
+        table.prod,
+        table.wk,
         br,
-        table.ao.astype(np.int64),
-        table.rk.astype(np.int64),
+        table.ao,
+        table.rk,
         table.avoids((PATTERN_231,)),
         table.avoids((PATTERN_312,)),
         table.avoids(REGION_BRUHAT_EQUALITY_PATTERNS),
         table.avoids(POINCARE_MATCH_PATTERNS),
         table.ferrers,
         *polys,
-        table.re.astype(np.int64) if depth == "with_region_oracle" else None,
+        table.re if depth == "with_region_oracle" else None,
     )
 
 
@@ -512,45 +515,7 @@ def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> Swee
 
 CSV_HEADER = ",".join(StatRecord._fields)
 
-# The template of ``_record_json``, its fields in ``to_json_dict`` order.
-# It fills in what ``json.dumps(record.to_json_dict())`` would write: lists
-# as ``str(list)``, whose ", " separators are json's too.
-_RECORD_JSON = (
-    '{"w": %s, "inv": %d, "code": %s, "prod": %d, "wk": %d, "br": %d, '
-    '"ao": %d, "rk": %d, "re": %s, "avoids_231_312": %s, "avoids_four": %s, '
-    '"avoids_3412_4231": %s, "weak_poly": %s, "bruhat_poly": %s, '
-    '"product_poly": %s, "distance_poly": %s}'
-)
-_FLAG = ("false", "true")
-
-
-def _record_json(record: StatRecord) -> str:
-    """``json.dumps(record.to_json_dict())``, from one template.
-
-    >>> record = stat_record(Permutation((2, 1)), depth="polys")
-    >>> _record_json(record) == json.dumps(record.to_json_dict())
-    True
-    """
-    r = record
-    return _RECORD_JSON % (
-        str(list(r.w)),
-        r.inv,
-        str(list(r.code)),
-        r.prod,
-        r.wk,
-        r.br,
-        r.ao,
-        r.rk,
-        "null" if r.re is None else "%d" % r.re,
-        _FLAG[r.avoids_231_312],
-        _FLAG[r.avoids_four],
-        _FLAG[r.avoids_3412_4231],
-        "null" if r.weak_poly is None else str(r.weak_poly.to_list()),
-        "null" if r.bruhat_poly is None else str(r.bruhat_poly.to_list()),
-        "null" if r.product_poly is None else str(r.product_poly.to_list()),
-        "null" if r.distance_poly is None else str(r.distance_poly.to_list()),
-    )
-
+_FLAG = ("false", "true")  # a flag's cell in either format, by its value
 
 # Records per chunk of the report writer: a chunk of S_8 is 0.3 MB of text
 # at depth counts and 0.5 MB at full depth.

@@ -1,8 +1,10 @@
-"""Shared fixtures: the expensive whole-group sweeps, built once per session.
+"""Shared fixtures: the expensive whole-group sweeps and the oracle suite,
+built once per session.
 
-Several test modules consume the same S6 and S7 sweeps; building them
-here keeps total runtime down and lets the acceptance tests charge the
-construction cost against their stated time budgets.
+Several test modules consume the same S6 and S7 sweeps and the same
+oracle comparisons; building them here keeps total runtime down and lets
+the acceptance tests charge the construction cost against their stated
+time budgets.
 """
 
 import time
@@ -41,3 +43,11 @@ def sweep7_polys() -> TimedSweep:
     start = time.perf_counter()
     report = verify.sweep(7, depth="polys")
     return TimedSweep(report, time.perf_counter() - start)
+
+
+@pytest.fixture(scope="session")
+def oracle_checks_at_caps():
+    """``oracle_checks(9)``: every comparison clamped to its own cap."""
+    start = time.perf_counter()
+    results = verify.oracle_checks(9)
+    return results, time.perf_counter() - start

@@ -6,11 +6,13 @@ by pytest's capsys so the tests see exactly what a shell would.
 
 import dataclasses
 import json
+import random
 import re
 
 import pytest
 
 from invarr import cli, verify
+from invarr.perm import Permutation
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +42,16 @@ class TestStats:
         assert doc["prod"] == 8
         assert doc["rk"] == doc["ao"] == doc["br"] == doc["re"] == 16
         assert doc["product_poly"] == [1, 2, 2, 2, 1]
+
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_json_output_is_json_dumps_of_the_dict(self, capsys, depth):
+        rng = random.Random(1408)
+        words = [Permutation((2, 5, 1, 3, 4)), Permutation.longest(8)]
+        words += [Permutation(tuple(rng.sample(range(1, 9), 8))) for _ in range(16)]
+        for w in words:
+            code, out, _ = run_cli(capsys, "stats", str(w), "--depth", depth, "--format", "json")
+            assert code == 0
+            assert out == json.dumps(verify.stat_record(w, depth).to_json_dict()) + "\n", w
 
     def test_depth_counts_drops_oracle_fields(self, capsys):
         code, out, _ = run_cli(
@@ -173,13 +185,25 @@ class TestSweep:
         assert lines[0] == verify.CSV_HEADER
         assert len(lines) == 25
 
-    def test_unwritable_output_is_an_error_not_a_violation(self, capsys, tmp_path):
+    def test_unwritable_output_is_an_error_not_a_violation(
+        self, capsys, monkeypatch, tmp_path
+    ):
         target = tmp_path / "missing" / "report.json"
         code, out, err = run_cli(capsys, "sweep", "--n", "3", "--output", str(target))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "report.json" in err
         assert "Traceback" not in err
+
+        # the output is opened before the sweep, so no sweep runs
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before opening the output")
+
+        monkeypatch.setattr(verify, "sweep", no_sweep)
+        code, out, err = run_cli(capsys, "sweep", "--n", "3", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "report.json" in err
 
     def test_parallelism_flag_is_gone(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "3", "--parallelism", "2")
