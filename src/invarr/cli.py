@@ -179,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_poincare.set_defaults(handler=_cmd_poincare)
 
     p_sweep = sub.add_parser("sweep", help="verify all relations over S_n")
-    p_sweep.add_argument("--n", type=int, required=True)
+    # Refused before --output is opened, so a refused size leaves the file as it was.
+    p_sweep.add_argument("--n", type=int, choices=range(1, 9), required=True)
     p_sweep.add_argument("--depth", choices=verify.DEPTHS, default="counts")
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
     p_sweep.add_argument("--output", help="write the report here instead of stdout")

@@ -7,15 +7,13 @@ and the CLI read the words, inversion masks and counts and dominance
 counts, and past depth ``counts`` the lower walls; a sweep adds the
 statistic columns, and past depth ``counts`` the product, distance and
 re columns; the build of a column of S_n reads only the deletion ranks
-and the ao, containment and distance columns of smaller groups.  The
-per-record routes of ``stat_record`` (the weak filter, the essential-set
-filter ``GroupTable.bruhat_below``, the chromatic polynomial from
-partitions into independent sets, the Ryser permanent, pattern
-backtracking, ``orders.product_q_formula``) and the region sort
-``arrangement.regions_by_sort`` are the columns' oracles.  Each column
-except Bruhat's comes from a recursion over the whole group that shares
-no arithmetic with those oracles, so the checked relations rk = ao,
-re = ao and wk <= prod keep their meaning:
+and the ao, containment and distance columns of smaller groups.
+``verify.COLUMN_ROUTES`` checks each column against a per-record route
+of ``verify.stat_record`` or against the region sort
+``arrangement.regions_by_sort``.  Each column except Bruhat's comes
+from a recursion over the whole group that shares no arithmetic with
+those routes, so the checked relations rk = ao, re = ao and wk <= prod
+keep their meaning:
 
 * the weak polynomials by the Moebius recursion of left weak order
   (Bjoerner and Brenti, *Combinatorics of Coxeter Groups*, GTM 231,
@@ -69,8 +67,9 @@ J. 65, 1992), which ``essential_cells`` finds for both.  Each (dominance
 column, bound) pair becomes one packed bitset over S_n, the bit axis
 ordered by length, and a row of length counts is the AND of the bitsets
 of its essential cells, bit-counted word by word and summed one length
-segment at a time.  Its independent checks are the chain closure of
-``orders.bruhat_interval_by_chains`` and the full dominance compare.
+segment at a time.  Its independent check is the full entrywise
+dominance compare, ``verify.COLUMN_ROUTES``'s row
+``bruhat_column_vs_dominance_compare``.
 
 >>> table = group_table(3)
 >>> table.wk.tolist(), table.ao.tolist(), table.rk.tolist()
@@ -306,8 +305,8 @@ class GroupTable:
 
         The route of ``verify.stat_record`` and ``orders.bruhat_interval``
         for one word.  The ``bruhat`` column reads the same cells for every
-        word at once, so the two share the criterion and are checked
-        against each other for the bitset arithmetic only.
+        word at once, so both are checked against the full dominance
+        compare, not against each other.
         """
         _, columns = essential_cells(np.array([word]))
         below = np.ones(len(self.dom), dtype=bool)

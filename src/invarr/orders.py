@@ -32,6 +32,7 @@ import numpy as np
 
 from .columns import GroupTable, group_table
 from .perm import (
+    MAX_CODE_PRODUCT_N,
     Permutation,
     Word,
     _pair_tables,
@@ -248,9 +249,10 @@ def product_q_formula(w: Permutation) -> QPolynomial:
     >>> print(product_q_formula(Permutation((2, 5, 1, 3, 4))))
     1 + 2q + 2q^2 + 2q^3 + q^4
     """
-    # code_product enforces the cap and a 64-bit value at q = 1; the
-    # coefficients are nonnegative and sum to it, so none can overflow.
-    code_product(w)
+    # The coefficients are nonnegative and sum to code_product(w) <= n!,
+    # and 20! < 2^63, so at n <= 20 none can overflow.
+    if w.n > MAX_CODE_PRODUCT_N:
+        raise ValueError(f"product_q_formula supports n <= {MAX_CODE_PRODUCT_N}, got n={w.n}")
     coeffs = [1]
     for c in lehmer_code(w):
         out = [0] * (len(coeffs) + c)

@@ -25,30 +25,15 @@ full record.
 
 A sweep runs in the calling process and reads every field of every
 record, at every depth, from the whole-group columns of the cached
-table ``columns.group_table(n)``: the weak Poincare polynomials (whose row
-sums are wk) by the Moebius recursion of weak order over left-descent
-subsets (Bjoerner and Brenti, GTM 231, section 3.2), br and the Bruhat
-length counts by Fulton's essential-set criterion evaluated for the
-whole group on packed bitsets, ao by inclusion-exclusion over source
-sets (Stanley, Discrete Math. 5, 1973) and the distance enumerators by
-the same recursion graded by distance, both composing one-letter
-deletions, rk by placing one rook per row down the tree of prefixes,
-the pattern flags by one-letter deletion, the product polynomials by
-prefix sums over the Lehmer codes, and re by counting the gate chambers
-of the regions.  ``stat_record`` computes the same fields by the
-per-record routes (the weak filter, the essential-set filter
-``GroupTable.bruhat_below``, the chromatic polynomial from partitions
-into independent sets, the Ryser permanent of one board, pattern
-backtracking, ``orders.product_q_formula`` and the gate filter
-``arrangement.regions``); these, with backtracking rook search as a
-second oracle for rk and with the region sort
-``arrangement.regions_by_sort`` in place of the gate filter, which
-shares the gate rule with the re column, are the columns' oracles.  The
-Bruhat filter shares its essential cells with the br column, whose
-independent checks are chain closure and the full dominance compare.
-Both hand a record's field values, in ``StatRecord`` order, to the one
-record assembly, ``_build_record``, which builds the record, a
-NamedTuple, by position.
+table ``columns.group_table(n)``, each built by a recursion over the
+whole group (the ``columns`` module gives them).  ``stat_record``
+computes the same fields by the per-record routes.  Both hand a
+record's field values, in ``StatRecord`` order, to the one record
+assembly, ``_build_record``, which builds the record, a NamedTuple, by
+position.  ``oracle_checks`` runs two tables of comparisons:
+``COLUMN_ROUTES``, each column against the route or definition that
+checks it, and ``ROUTE_ORACLES``, each route against its definitional
+oracle.
 
 The per-record routes and the regions read only the same table's
 words, masks, inversion counts, dominance counts and lower walls, which
@@ -90,7 +75,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from typing import Callable, Iterator, NamedTuple
+from math import factorial
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -110,6 +96,7 @@ from .perm import (
     iter_words,
     length_polynomial,
     lehmer_code,
+    unrank_lex,
 )
 from .qpoly import QPolynomial, column_degrees
 
@@ -652,130 +639,100 @@ def emit_report(report: SweepReport, format: str = "json") -> bytes:
 # dual-route oracle comparisons
 
 
-def oracle_checks(n: int) -> list[OracleCheckResult]:
-    """Compare every fast route against its slow definitional oracle.
+class OracleRow(NamedTuple):
+    """One comparison: for every w of S_n, n <= ``cap``, the two values of
+    ``pair(group_table(n), rank of w, w)`` must be equal.  The routes are
+    read from their modules at call time, so a patched route is the one
+    compared."""
 
-    Each comparison clamps the requested n to the largest size its
-    oracle affords; the result rows state the n actually used.
-    """
+    name: str
+    cap: int
+    pair: Callable[[GroupTable, int, Permutation], tuple]
+
+
+# Each fast route against its definitional oracle.
+ROUTE_ORACLES = (
+    OracleRow("bruhat_dominance_vs_chain_closure", 5, lambda t, k, w: (
+        orders.bruhat_interval(w, with_elements=True),
+        orders.bruhat_interval_by_chains(w, with_elements=True),
+    )),
+    OracleRow("orientations_color_partitions_vs_enumeration", 5, lambda t, k, w: (
+        arrangement.count_acyclic_orientations(g := arrangement.inversion_graph(w)),
+        arrangement.count_acyclic_orientations_by_enumeration(g),
+    )),
+    OracleRow("rook_permanent_vs_backtracking", 6, lambda t, k, w: (
+        (rook.count_rook_placements(b := rook.southwest_diagram(w).complement()),) * 2,
+        (rook.count_rook_placements_by_backtracking(b), rook.rook_count(w)),
+    )),
+    OracleRow("weak_bfs_vs_filter", 6, lambda t, k, w: (
+        orders.weak_interval(w), orders.weak_interval_by_filter(w),
+    )),
+    OracleRow("regions_vs_acyclic_orientations", 6, lambda t, k, w: (
+        arrangement.regions(w).size,
+        arrangement.count_acyclic_orientations(arrangement.inversion_graph(w)),
+    )),
+)
+
+# Each whole-group column a sweep reads against its per-record route; the
+# Bruhat column, whose route shares its essential cells, against the full
+# entrywise dominance compare (Bjoerner and Brenti, GTM 231, section 2.1).
+COLUMN_ROUTES = (
+    OracleRow("weak_column_vs_filter", 7, lambda t, k, w: (
+        orders.IntervalSummary(int(t.wk[k]), QPolynomial(t.weak[k].tolist())),
+        orders.weak_interval_by_filter(w),
+    )),
+    OracleRow("orientation_column_vs_color_partitions", 7, lambda t, k, w: (
+        int(t.ao[k]), arrangement.count_acyclic_orientations(arrangement.inversion_graph(w)),
+    )),
+    OracleRow("rook_column_vs_backtracking", 6, lambda t, k, w: (
+        (bool(t.ferrers[k]), int(t.rk[k])),
+        (rook.is_right_justified_ferrers(d := rook.southwest_diagram(w)),
+         rook.count_rook_placements_by_backtracking(d.complement())),
+    )),
+    OracleRow("rook_column_vs_rook_count", 7, lambda t, k, w: (int(t.rk[k]), rook.rook_count(w))),
+    OracleRow("pattern_columns_vs_backtracking", 7, lambda t, k, w: (
+        t.contains[:, k].tolist(), [contains_pattern(w, p) for p in PATTERNS],
+    )),
+    OracleRow("bruhat_column_vs_dominance_compare", 7, lambda t, k, w: (
+        QPolynomial(t.bruhat[k].tolist()),
+        length_polynomial(t.inv[(t.dom <= t.dom[k]).all(axis=1)]),
+    )),
+    OracleRow("code_column_vs_lehmer_code", 7, lambda t, k, w: (
+        (tuple(t.code[k].tolist()), int(t.prod[k])), (lehmer_code(w), code_product(w)),
+    )),
+    OracleRow("product_column_vs_product_formula", 7, lambda t, k, w: (
+        QPolynomial(t.product[k].tolist()), orders.product_q_formula(w),
+    )),
+    OracleRow("distance_column_vs_region_sort", 7, lambda t, k, w: (
+        QPolynomial(t.distance[k].tolist()),
+        arrangement.distance_of_regions(arrangement.regions_by_sort(w)),
+    )),
+    OracleRow("region_column_vs_region_sort", 7, lambda t, k, w: (
+        int(t.re[k]), arrangement.regions_by_sort(w).size,
+    )),
+)
+
+
+def first_mismatch(pair, n: int, ranks: Iterable[int]) -> str:
+    """The detail ``w=<word>: <a> vs <b>`` of the first of ``ranks`` of S_n
+    at which the two values of ``pair`` differ, or "" if they never do."""
+    table = group_table(n)
+    for rank in ranks:
+        w = unrank_lex(n, rank)
+        a, b = pair(table, rank, w)
+        if a != b:
+            return f"w={w}: {a} vs {b}"
+    return ""
+
+
+def oracle_checks(n: int) -> list[OracleCheckResult]:
+    """Run every row of ``ROUTE_ORACLES`` and then of ``COLUMN_ROUTES`` on
+    all of S_m, m = min(n, cap); the result rows state the m used."""
     if n < 1:
         raise ValueError("n must be at least 1")
     results = []
-
-    def run(name: str, cap: int, body) -> None:
+    for name, cap, pair in ROUTE_ORACLES + COLUMN_ROUTES:
         used = min(n, cap)
-        detail = ""
-        passed = True
-        for rank, word in enumerate(iter_words(used)):
-            w = Permutation(word)
-            mismatch = body(rank, w)
-            if mismatch:
-                passed = False
-                detail = f"w={w}: {mismatch}"
-                break
-        results.append(OracleCheckResult(name=name, n=used, passed=passed, detail=detail))
-
-    def bruhat_body(_rank: int, w: Permutation) -> str:
-        fast = orders.bruhat_interval(w, with_elements=True)
-        slow = orders.bruhat_interval_by_chains(w, with_elements=True)
-        if fast.size != slow.size or fast.poincare != slow.poincare:
-            return f"dominance {fast.size} vs chain closure {slow.size}"
-        if set(fast.elements) != set(slow.elements):
-            return "element sets differ"
-        return ""
-
-    def orientation_body(_rank: int, w: Permutation) -> str:
-        g = arrangement.inversion_graph(w)
-        fast = arrangement.count_acyclic_orientations(g)
-        slow = arrangement.count_acyclic_orientations_by_enumeration(g)
-        return "" if fast == slow else f"color partitions {fast} vs enumeration {slow}"
-
-    def rook_body(_rank: int, w: Permutation) -> str:
-        board = rook.southwest_diagram(w).complement()
-        fast = rook.count_rook_placements(board)
-        slow = rook.count_rook_placements_by_backtracking(board)
-        if fast != slow:
-            return f"permanent {fast} vs backtracking {slow}"
-        if fast != rook.rook_count(w):
-            return "rook_count disagrees with complement board count"
-        return ""
-
-    def weak_body(_rank: int, w: Permutation) -> str:
-        fast = orders.weak_interval(w)
-        slow = orders.weak_interval_by_filter(w)
-        if fast.size != slow.size or fast.poincare != slow.poincare:
-            return f"bfs {fast.size} vs filter {slow.size}"
-        return ""
-
-    def region_body(_rank: int, w: Permutation) -> str:
-        re_count = arrangement.regions(w).size
-        ao = arrangement.count_acyclic_orientations(arrangement.inversion_graph(w))
-        return "" if re_count == ao else f"regions {re_count} vs orientations {ao}"
-
-    def weak_column_body(rank: int, w: Permutation) -> str:
-        column = QPolynomial(group_table(w.n).weak[rank].tolist())
-        route = orders.weak_interval_by_filter(w).poincare
-        return "" if column == route else f"column {column} vs filter {route}"
-
-    def product_column_body(rank: int, w: Permutation) -> str:
-        column = QPolynomial(group_table(w.n).product[rank].tolist())
-        route = orders.product_q_formula(w)
-        return "" if column == route else f"column {column} vs product formula {route}"
-
-    def distance_column_body(rank: int, w: Permutation) -> str:
-        column = QPolynomial(group_table(w.n).distance[rank].tolist())
-        route = arrangement.distance_of_regions(arrangement.regions_by_sort(w))
-        return "" if column == route else f"column {column} vs region sort {route}"
-
-    def region_column_body(rank: int, w: Permutation) -> str:
-        column = int(group_table(w.n).re[rank])
-        route = arrangement.regions_by_sort(w).size
-        return "" if column == route else f"column {column} vs region sort {route}"
-
-    def orientation_column_body(rank: int, w: Permutation) -> str:
-        column = int(group_table(w.n).ao[rank])
-        route = arrangement.count_acyclic_orientations(arrangement.inversion_graph(w))
-        return "" if column == route else f"column {column} vs color partitions {route}"
-
-    def rook_column_body(rank: int, w: Permutation) -> str:
-        table = group_table(w.n)
-        diagram = rook.southwest_diagram(w)
-        route = rook.count_rook_placements_by_backtracking(diagram.complement())
-        if int(table.rk[rank]) != route:
-            return f"column {int(table.rk[rank])} vs backtracking {route}"
-        if bool(table.ferrers[rank]) != rook.is_right_justified_ferrers(diagram):
-            return "Ferrers column disagrees with the diagram"
-        return ""
-
-    def rook_count_column_body(rank: int, w: Permutation) -> str:
-        column = int(group_table(w.n).rk[rank])
-        route = rook.rook_count(w)
-        return "" if column == route else f"column {column} vs Ryser permanent {route}"
-
-    def pattern_column_body(rank: int, w: Permutation) -> str:
-        column = group_table(w.n).contains[:, rank].tolist()
-        route = [contains_pattern(w, p) for p in PATTERNS]
-        return "" if column == route else f"column {column} vs backtracking {route}"
-
-    def bruhat_column_body(rank: int, w: Permutation) -> str:
-        table = group_table(w.n)
-        column = table.bruhat[rank].tolist()
-        lengths = table.inv[table.bruhat_below(w.word)]
-        route = np.bincount(lengths, minlength=len(column)).tolist()
-        return "" if column == route else f"column {column} vs essential filter {route}"
-
-    run("bruhat_dominance_vs_chain_closure", 5, bruhat_body)
-    run("orientations_color_partitions_vs_enumeration", 5, orientation_body)
-    run("rook_permanent_vs_backtracking", 6, rook_body)
-    run("weak_bfs_vs_filter", 6, weak_body)
-    run("regions_vs_acyclic_orientations", 6, region_body)
-    run("weak_column_vs_filter", 7, weak_column_body)
-    run("orientation_column_vs_color_partitions", 7, orientation_column_body)
-    run("rook_column_vs_backtracking", 6, rook_column_body)
-    run("rook_column_vs_rook_count", 7, rook_count_column_body)
-    run("pattern_columns_vs_backtracking", 7, pattern_column_body)
-    run("bruhat_column_vs_essential_filter", 7, bruhat_column_body)
-    run("product_column_vs_product_formula", 7, product_column_body)
-    run("distance_column_vs_region_sort", 7, distance_column_body)
-    run("region_column_vs_region_sort", 7, region_column_body)
+        detail = first_mismatch(pair, used, range(factorial(used)))
+        results.append(OracleCheckResult(name=name, n=used, passed=not detail, detail=detail))
     return results

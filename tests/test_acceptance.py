@@ -317,7 +317,8 @@ def test_criterion_12_oracle_equivalences(oracle_checks_at_caps):
         "rook_column_vs_backtracking": 6,
         "rook_column_vs_rook_count": 7,
         "pattern_columns_vs_backtracking": 7,
-        "bruhat_column_vs_essential_filter": 7,
+        "bruhat_column_vs_dominance_compare": 7,
+        "code_column_vs_lehmer_code": 7,
         "product_column_vs_product_formula": 7,
         "distance_column_vs_region_sort": 7,
         "region_column_vs_region_sort": 7,

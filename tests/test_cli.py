@@ -210,6 +210,15 @@ class TestSweep:
         assert code == 2
         assert "--parallelism" in err
 
+    def test_refused_size_leaves_the_output_untouched(self, capsys, tmp_path):
+        target = tmp_path / "existing.json"
+        target.write_bytes(b"keep")
+        for n in ("9", "0"):
+            code, out, err = run_cli(capsys, "sweep", "--n", n, "--long", "--output", str(target))
+            assert code == 2 and out == ""
+            assert f"invalid choice: {n}" in err
+        assert target.read_bytes() == b"keep"
+
     def test_n8_requires_long_flag(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--n", "8")
         assert code == 2
@@ -234,7 +243,7 @@ class TestOracleCheck:
         code, out, _ = run_cli(capsys, "oracle-check", "--n", "2")
         assert code == 0
         lines = out.splitlines()
-        assert len(lines) == 14
+        assert len(lines) == 15
         assert all(line.endswith("PASS") for line in lines)
         assert lines[0] == "bruhat_dominance_vs_chain_closure: n=2 PASS"
 
@@ -243,7 +252,7 @@ class TestOracleCheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert len(doc["checks"]) == 14
+        assert len(doc["checks"]) == 15
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         fake = [verify.OracleCheckResult(name="x", n=2, passed=False, detail="boom")]

@@ -1,17 +1,10 @@
 """The whole-group statistic columns against the per-record routes.
 
-Each column is compared with a per-record route that shares no
-arithmetic with it: the weak polynomials (Moebius recursion)
-against the weak filter, ao (source sets) against the chromatic
-polynomial from color partitions, rk (rook placement row by row down
-the prefix tree) against backtracking rook search and the batched Ryser
-permanent, the pattern flags (one-letter deletion)
-against pattern backtracking, the Ferrers flag against the diagram
-test, the product polynomials (prefix sums) against
-``product_q_formula``, and the distance enumerators (graded source sets)
-and re (gate count) against the region sort.  The Bruhat column
-(essential-set bitsets) is checked against the full entrywise dominance
-compare, which shares no essential-set arithmetic with it.
+Each row of ``verify.COLUMN_ROUTES`` pairs a column with a route or
+definition that shares no arithmetic with it.  ``oracle_checks(9)``, the
+session fixture, runs each row on all of S_n at its cap; the tests here
+run the same rows on all of S_n for every other n <= 7 and on a seeded
+sample of S8.
 """
 
 import hashlib
@@ -23,114 +16,32 @@ import numpy as np
 import pytest
 
 from invarr import arrangement, cli, columns, orders, rook, verify
-from invarr.columns import PATTERNS, group_table
+from invarr.columns import group_table
 from invarr.perm import (
     PATTERN_231,
     PATTERN_312,
     Permutation,
-    code_product,
-    contains_pattern,
     iter_words,
     lehmer_code,
-    unrank_lex,
 )
 from invarr.qpoly import QPolynomial
 
 S8_SAMPLE_SEED = 20261018
 
 
-# The fields that no n = 7 row of oracle_checks compares with these
-# routes: rk's backtracking row and the Ferrers flag are capped at n = 6.
-def _own_route_values(w: Permutation) -> tuple:
-    diagram = rook.southwest_diagram(w)
-    return (
-        lehmer_code(w),
-        code_product(w),
-        orders.weak_interval_by_filter(w).size,
-        rook.count_rook_placements_by_backtracking(diagram.complement()),
-        rook.is_right_justified_ferrers(diagram),
-    )
-
-
-def _own_column_values(n: int, rank: int) -> tuple:
-    table = group_table(n)
-    return (
-        tuple(table.code[rank].tolist()),
-        int(table.prod[rank]),
-        int(table.wk[rank]),
-        int(table.rk[rank]),
-        bool(table.ferrers[rank]),
-    )
-
-
-# The fields that the oracle rows also compare, up to n = 7.
-def _shared_route_values(w: Permutation) -> tuple:
-    regions = arrangement.regions_by_sort(w)
-    return (
-        arrangement.count_acyclic_orientations(arrangement.inversion_graph(w)),
-        tuple(contains_pattern(w, p) for p in PATTERNS),
-        orders.weak_interval_by_filter(w).poincare,
-        orders.product_q_formula(w),
-        arrangement.distance_of_regions(regions),
-        regions.size,
-    )
-
-
-def _shared_column_values(n: int, rank: int) -> tuple:
-    table = group_table(n)
-    return (
-        int(table.ao[rank]),
-        tuple(table.contains[:, rank].tolist()),
-        QPolynomial(table.weak[rank].tolist()),
-        QPolynomial(table.product[rank].tolist()),
-        QPolynomial(table.distance[rank].tolist()),
-        int(table.re[rank]),
-    )
-
-
-def _check_columns(n: int, rank: int, w: Permutation, shared: bool = True) -> None:
-    assert _own_column_values(n, rank) == _own_route_values(w), w.word
-    if shared:
-        assert _shared_column_values(n, rank) == _shared_route_values(w), w.word
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_every_column_matches_its_route_on_all_of_s_n(n):
-    # At n = 7, test_caps_clamp_requested_n runs the shared comparisons as
-    # the oracle rows of oracle_checks(9).
-    for rank, word in enumerate(iter_words(n)):
-        _check_columns(n, rank, Permutation(word), shared=n < 7)
+    for row in verify.COLUMN_ROUTES:
+        if row.cap != n:
+            assert verify.first_mismatch(row.pair, n, range(factorial(n))) == "", row.name
 
 
 def test_every_column_matches_its_route_on_an_s8_sample():
     ranks = [0, factorial(8) - 1] + random.Random(S8_SAMPLE_SEED).sample(
         range(1, factorial(8) - 1), 400
     )
-    for rank in ranks:
-        _check_columns(8, rank, unrank_lex(8, rank))
-
-
-def _check_bruhat_rows(n: int, ranks) -> None:
-    table = group_table(n)
-    bruhat = table.bruhat
-    assert bruhat.shape == (factorial(n), n * (n - 1) // 2 + 1)
-    for rank in ranks:
-        below = (table.dom <= table.dom[rank]).all(axis=1)
-        lengths = np.bincount(table.inv[below], minlength=bruhat.shape[1])
-        assert int(bruhat[rank].sum()) == int(below.sum()), rank
-        assert bruhat[rank].tolist() == lengths.tolist(), rank
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_bruhat_column_matches_the_full_dominance_compare_on_all_of_s_n(n):
-    _check_bruhat_rows(n, range(factorial(n)))
-
-
-def test_bruhat_column_matches_the_full_dominance_compare_on_an_s8_sample():
-    ranks = [0, factorial(8) - 1] + random.Random(S8_SAMPLE_SEED).sample(
-        range(1, factorial(8) - 1), 400
-    )
-    _check_bruhat_rows(8, ranks)
+    for row in verify.COLUMN_ROUTES:
+        assert verify.first_mismatch(row.pair, 8, ranks) == "", row.name
 
 
 def test_popcount64_matches_int_bit_count():
@@ -223,8 +134,10 @@ def test_stat_record_and_the_cli_build_no_columns(capsys):
     # only the arrays of the per-record routes, and no smaller group
     assert set(vars(group_table(8))) == {"n", "words", "masks", "inv", "dom", "lower"}
     assert group_table.cache_info().currsize == 1
-    assert (record.wk, record.rk) == _own_route_values(w)[2:4]
-    assert record.ao == _shared_route_values(w)[0]
+    assert record.wk == orders.weak_interval_by_filter(w).size
+    board = rook.southwest_diagram(w).complement()
+    assert record.rk == rook.count_rook_placements_by_backtracking(board)
+    assert record.ao == arrangement.count_acyclic_orientations(arrangement.inversion_graph(w))
 
 
 def test_a_sweep_reads_the_columns_and_calls_no_per_record_route(monkeypatch):

@@ -227,7 +227,7 @@ class TestCodeOrder:
                 assert product_q_formula(w) == expected, word
 
     def test_product_formula_cap_refuses_before_the_convolution(self):
-        # the coefficients sum to code_product(w), whose check caps n at 20
+        # the coefficients sum to code_product(w) <= n!, and 20! < 2^63
         assert product_q_formula(Permutation.longest(20))(1) == factorial(20)
         for n in (21, 120):
             start = time.perf_counter()

@@ -644,7 +644,8 @@ class TestOracleChecks:
             "rook_column_vs_backtracking",
             "rook_column_vs_rook_count",
             "pattern_columns_vs_backtracking",
-            "bruhat_column_vs_essential_filter",
+            "bruhat_column_vs_dominance_compare",
+            "code_column_vs_lehmer_code",
             "product_column_vs_product_formula",
             "distance_column_vs_region_sort",
             "region_column_vs_region_sort",
@@ -666,11 +667,23 @@ class TestOracleChecks:
         assert by_name["rook_column_vs_backtracking"] == 6
         assert by_name["rook_column_vs_rook_count"] == 7
         assert by_name["pattern_columns_vs_backtracking"] == 7
-        assert by_name["bruhat_column_vs_essential_filter"] == 7
+        assert by_name["bruhat_column_vs_dominance_compare"] == 7
+        assert by_name["code_column_vs_lehmer_code"] == 7
         assert by_name["product_column_vs_product_formula"] == 7
         assert by_name["distance_column_vs_region_sort"] == 7
         assert by_name["region_column_vs_region_sort"] == 7
+        assert len(by_name) == 15
         assert all(r.passed for r in results)
+
+    def test_a_wrong_route_fails_exactly_its_rows(self, monkeypatch):
+        wrong = Permutation((2, 4, 1, 3))
+        rook_count = rook.rook_count
+        monkeypatch.setattr(rook, "rook_count", lambda w: rook_count(w) + (w == wrong))
+        failed = {r.name: r.detail for r in verify.oracle_checks(4) if not r.passed}
+        assert failed == {
+            "rook_permanent_vs_backtracking": "w=2413: (8, 8) vs (8, 9)",
+            "rook_column_vs_rook_count": "w=2413: 8 vs 9",
+        }
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 1"):
