@@ -44,6 +44,31 @@ def test_every_column_matches_its_route_on_an_s8_sample():
         assert verify.first_mismatch(row.pair, 8, ranks) == "", row.name
 
 
+def _check_bruhat_rows(n: int, ranks) -> None:
+    table = group_table(n)
+    bruhat = table.bruhat
+    assert bruhat.shape == (factorial(n), n * (n - 1) // 2 + 1)
+    for rank in ranks:
+        below = (table.dom <= table.dom[rank]).all(axis=1)
+        lengths = np.bincount(table.inv[below], minlength=bruhat.shape[1])
+        assert int(bruhat[rank].sum()) == int(below.sum()), rank
+        assert bruhat[rank].tolist() == lengths.tolist(), rank
+
+
+# The same compare as the bruhat_column_vs_dominance_compare row, written
+# out here with the row count and array shape checked as well.
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bruhat_column_matches_the_full_dominance_compare_on_all_of_s_n(n):
+    _check_bruhat_rows(n, range(factorial(n)))
+
+
+def test_bruhat_column_matches_the_full_dominance_compare_on_an_s8_sample():
+    ranks = [0, factorial(8) - 1] + random.Random(S8_SAMPLE_SEED).sample(
+        range(1, factorial(8) - 1), 400
+    )
+    _check_bruhat_rows(8, ranks)
+
+
 def test_popcount64_matches_int_bit_count():
     # the Bruhat column's bit count; a Python int among its masks or shifts
     # would turn the words into float64 on NumPy 1.x
