@@ -17,7 +17,6 @@ same machinery.
 
 from .arrangement import (
     InversionGraph,
-    RegionSet,
     chromatic_polynomial,
     count_acyclic_orientations,
     count_acyclic_orientations_by_enumeration,
@@ -44,13 +43,11 @@ from .perm import (
     POINCARE_MATCH_PATTERNS,
     REGION_BRUHAT_EQUALITY_PATTERNS,
     WEAK_EQUALITY_PATTERNS,
-    InversionSet,
     Permutation,
     avoids_all,
     code_product,
     contains_pattern,
     inverse,
-    inversion_set,
     lehmer_code,
     parse_permutation,
     unrank_lex,
@@ -58,7 +55,6 @@ from .perm import (
 from .qpoly import QPolynomial
 from .rook import (
     Board,
-    count_rook_placements,
     count_rook_placements_by_backtracking,
     is_right_justified_ferrers,
     rook_count,
@@ -80,7 +76,6 @@ __all__ = [
     "Board",
     "IntervalSummary",
     "InversionGraph",
-    "InversionSet",
     "OracleCheckResult",
     "PATTERN_231",
     "PATTERN_312",
@@ -88,7 +83,6 @@ __all__ = [
     "Permutation",
     "QPolynomial",
     "REGION_BRUHAT_EQUALITY_PATTERNS",
-    "RegionSet",
     "StatRecord",
     "SweepReport",
     "WEAK_EQUALITY_PATTERNS",
@@ -101,14 +95,12 @@ __all__ = [
     "contains_pattern",
     "count_acyclic_orientations",
     "count_acyclic_orientations_by_enumeration",
-    "count_rook_placements",
     "count_rook_placements_by_backtracking",
     "distance_enumerator",
     "distance_of_regions",
     "emit_report",
     "inverse",
     "inversion_graph",
-    "inversion_set",
     "is_right_justified_ferrers",
     "lehmer_code",
     "oracle_checks",

@@ -12,7 +12,7 @@ inverted}.
 Regions are enumerated combinatorially: a region is determined by its
 sign vector over the inverted pairs, and the achievable sign vectors are
 exactly the restrictions I(u) & I(w) over all permutations u, kept as
-uint32 masks over the slots of ``perm.pair_slot`` with no compaction
+uint32 masks over the slots of ``perm.inversion_mask`` with no compaction
 onto the inverted pairs.  ``regions`` takes one chamber per region, its
 gate: the chamber u whose lower walls L(u), the slots (i, j), i < j,
 with u_i = u_j + 1, all lie in I(w).  It is one filter of the
@@ -39,6 +39,7 @@ polynomial of the whole group.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +49,6 @@ from .columns import group_table
 from .perm import (
     Permutation,
     inversion_mask,
-    inversion_set,
     length_polynomial,
     popcounts,
 )
@@ -77,7 +77,9 @@ class InversionGraph:
 
 def inversion_graph(w: Permutation) -> InversionGraph:
     """The graph of inverted position pairs of w."""
-    return InversionGraph(w.n, frozenset(inversion_set(w).pairs()))
+    word = w.word
+    pairs = itertools.combinations(range(w.n), 2)
+    return InversionGraph(w.n, frozenset((i + 1, j + 1) for i, j in pairs if word[i] > word[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,42 +226,26 @@ def count_acyclic_orientations_by_enumeration(g: InversionGraph) -> int:
 # regions
 
 
-@dataclass(frozen=True, eq=False)
-class RegionSet:
-    """Regions of the arrangement {x_i = x_j : (i, j) in I(w)}.
-
-    ``masks`` holds one uint32 mask per region: the distinct
-    restrictions I(u) & I(w) over u in S_n, in the slots of
-    ``pair_slot``, sorted only when they come from ``regions_by_sort``.
-    A region's distance from the base region (identity chamber, mask 0)
-    is its number of separating hyperplanes, the popcount of its mask.
-    """
-
-    masks: np.ndarray  # (regions,) uint32
-
-    @property
-    def size(self) -> int:
-        return len(self.masks)
-
-
-def regions(w: Permutation) -> RegionSet:
-    """All regions of the inversion arrangement of w, one per gate.
+def regions(w: Permutation) -> np.ndarray:
+    """All regions of the inversion arrangement of w, one uint32 sign mask
+    per gate, so the array's ``size`` is the region count.
 
     Every region holds exactly one chamber u with L(u) inside I(w): from
     any other chamber of the region, crossing a lower wall outside I(w)
     stays in the region and comes one step nearer the base.  The gates'
     restrictions I(u) & I(w) are the regions' sign vectors, in the
-    table's row order.
+    table's row order.  A region's distance from the base region
+    (identity chamber, mask 0) is the popcount of its mask.
 
     >>> regions(Permutation((1, 2, 3))).size
     1
     >>> regions(Permutation.longest(3)).size
     6
     """
-    return RegionSet(group_table(w.n).gate_signs(inversion_mask(w.word)))
+    return group_table(w.n).gate_signs(inversion_mask(w.word))
 
 
-def regions_by_sort(w: Permutation) -> RegionSet:
+def regions_by_sort(w: Permutation) -> np.ndarray:
     """Oracle: the distinct restrictions I(u) & I(w) over all of S_n, sorted.
 
     A sign vector is achievable exactly when it is I(u) restricted to
@@ -267,15 +253,16 @@ def regions_by_sort(w: Permutation) -> RegionSet:
     arrangement lies in that region), so the distinct restrictions
     enumerate the regions.
 
-    >>> regions_by_sort(Permutation((2, 1, 3))).masks.tolist()
+    >>> regions_by_sort(Permutation((2, 1, 3))).tolist()
     [0, 1]
     """
-    return RegionSet(group_table(w.n).region_signs(inversion_mask(w.word)))
+    return group_table(w.n).region_signs(inversion_mask(w.word))
 
 
-def distance_of_regions(rs: RegionSet) -> QPolynomial:
-    """Generating function of region distances from the base chamber."""
-    return length_polynomial(popcounts(rs.masks))
+def distance_of_regions(masks: np.ndarray) -> QPolynomial:
+    """Generating function of region distances from the base chamber, given
+    the regions' sign masks."""
+    return length_polynomial(popcounts(masks))
 
 
 def distance_enumerator(w: Permutation) -> QPolynomial:

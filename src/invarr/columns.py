@@ -176,7 +176,7 @@ def essential_cells(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GroupTable:
     """Every word of S_n and its statistics, row k for lexicographic rank k.
 
-    ``masks`` are uint32 over the slots of ``perm.pair_slot`` (C(8, 2) =
+    ``masks`` are uint32 over the slots of ``perm.inversion_mask`` (C(8, 2) =
     28 bits at most).  ``dom`` holds the Bruhat dominance counts:
     0-based column i * n + j counts the a <= i + 1 with u_a > j, and
     u <= w exactly when dom[u] <= dom[w] entrywise.  It is stored

@@ -38,7 +38,6 @@ from .perm import (
     _pair_tables,
     code_product,
     inversion_mask,
-    inversion_set,
     length_polynomial,
     lehmer_code,
 )
@@ -89,7 +88,7 @@ def weak_leq(u: Permutation, w: Permutation) -> bool:
     False
     """
     _require_same_n(u, w)
-    return inversion_set(u).issubset(inversion_set(w))
+    return inversion_mask(u.word) & ~inversion_mask(w.word) == 0
 
 
 def weak_interval(w: Permutation, with_elements: bool = False) -> IntervalSummary:
@@ -117,7 +116,7 @@ def weak_interval(w: Permutation, with_elements: bool = False) -> IntervalSummar
             f"weak_interval visits up to code_product(w) = {bound} states, "
             f"over the budget of {MAX_WEAK_STATES}"
         )
-    index, _ = _pair_tables(n)
+    index = _pair_tables(n)
     target = inversion_mask(w.word)
 
     id_word = tuple(range(1, n + 1))

@@ -12,8 +12,8 @@ by its rank in lexicographic order of all such pairs, so masks of
 different permutations of the same n are directly comparable.
 
 >>> w = parse_permutation("25134")
->>> sorted(inversion_set(w).pairs())
-[(1, 3), (2, 3), (2, 4), (2, 5)]
+>>> inversion_mask(w.word)  # slots 1, 4, 5, 6: (1, 3), (2, 3), (2, 4), (2, 5)
+114
 >>> lehmer_code(w)
 (1, 3, 0, 0, 0)
 >>> code_product(w)
@@ -25,6 +25,7 @@ different permutations of the same n are directly comparable.
 from __future__ import annotations
 
 import itertools
+import operator
 import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,7 +54,7 @@ class Permutation:
     word: Word
 
     def __post_init__(self) -> None:
-        word = tuple(int(v) for v in self.word)
+        word = tuple(map(operator.index, self.word))
         n = len(word)
         if n == 0:
             raise ValueError("empty permutation")
@@ -130,57 +131,14 @@ def parse_permutation(text: str) -> Permutation:
 
 
 @lru_cache(maxsize=None)
-def _pair_tables(n: int) -> tuple[dict[tuple[int, int], int], tuple[tuple[int, int], ...]]:
+def _pair_tables(n: int) -> dict[tuple[int, int], int]:
     """Bit slots for pairs (i, j), 1 <= i < j <= n, in lexicographic order."""
-    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    index = {pair: slot for slot, pair in enumerate(pairs)}
-    return index, pairs
-
-
-def pair_slot(n: int, i: int, j: int) -> int:
-    """Bit position of the pair (i, j) in an n-element inversion mask."""
-    index, _ = _pair_tables(n)
-    try:
-        return index[(i, j)]
-    except KeyError:
-        raise ValueError(f"({i}, {j}) is not a pair with 1 <= i < j <= {n}") from None
-
-
-@dataclass(frozen=True)
-class InversionSet:
-    """A set of position pairs (i, j), i < j, as a bit mask over C(n, 2) slots."""
-
-    n: int
-    mask: int
-
-    def __post_init__(self) -> None:
-        slots = self.n * (self.n - 1) // 2
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if not 0 <= self.mask < 1 << slots:
-            raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        i, j = pair
-        if not 1 <= i < j <= self.n:
-            return False
-        return bool(self.mask >> pair_slot(self.n, i, j) & 1)
-
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        _, pairs = _pair_tables(self.n)
-        return frozenset(pairs[s] for s in range(len(pairs)) if self.mask >> s & 1)
-
-    def issubset(self, other: "InversionSet") -> bool:
-        if self.n != other.n:
-            raise ValueError(f"mixed sizes: n={self.n} vs n={other.n}")
-        return self.mask & ~other.mask == 0
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return {pair: slot for slot, pair in enumerate(pairs)}
 
 
 def inversion_mask(word: Word) -> int:
-    """Bit mask of I(w) for a bare word; slot order matches pair_slot."""
+    """Bit mask of I(w) for a bare word, in the lexicographic pair slots."""
     n = len(word)
     mask = 0
     slot = 0
@@ -191,17 +149,6 @@ def inversion_mask(word: Word) -> int:
                 mask |= 1 << slot
             slot += 1
     return mask
-
-
-def inversion_set(w: Permutation) -> InversionSet:
-    """I(w) = {(i, j) : i < j, w_i > w_j} as position pairs.
-
-    >>> sorted(inversion_set(Permutation((3, 1, 2))).pairs())
-    [(1, 2), (1, 3)]
-    >>> len(inversion_set(Permutation.longest(4)))
-    6
-    """
-    return InversionSet(w.n, inversion_mask(w.word))
 
 
 def inversion_count(w: Permutation) -> int:

@@ -16,6 +16,7 @@ QPolynomial(coeffs=(1, 1, 1))
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ class QPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(operator.index, self.coeffs))
         if not coeffs:
             coeffs = (0,)
         for c in coeffs:

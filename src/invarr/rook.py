@@ -110,25 +110,9 @@ def permanents(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def count_rook_placements(board: Board) -> int:
-    """Placements of n non-attacking rooks on the board's cells.
-
-    >>> full = Board(3, frozenset((r, c) for r in (1, 2, 3) for c in (1, 2, 3)))
-    >>> count_rook_placements(full)
-    6
-    >>> count_rook_placements(Board(2, frozenset({(1, 1), (2, 2)})))
-    1
-    """
-    if board.n > MAX_PERMANENT_N:
-        raise ValueError(
-            f"rook counting supports n <= {MAX_PERMANENT_N}, got n={board.n}"
-        )
-    rows = np.array([board.row_masks()], dtype=np.uint16)
-    return checked_int64(int(permanents(rows)[0]))
-
-
 def count_rook_placements_by_backtracking(board: Board) -> int:
-    """Oracle for count_rook_placements: place rooks row by row."""
+    """Oracle for rook_count: place n non-attacking rooks on the board's
+    cells row by row."""
     n = board.n
     masks = board.row_masks()
     full = (1 << n) - 1

@@ -1,4 +1,4 @@
-"""Unit tests for inversion graphs, chromatic counts, and region sets."""
+"""Unit tests for inversion graphs, chromatic counts, and region masks."""
 
 import random
 from math import factorial
@@ -206,11 +206,10 @@ class TestRegions:
         assert regions(W25134).size == 16
 
     def test_structure(self):
-        rs = regions_by_sort(W25134)
-        masks = rs.masks.tolist()
-        assert masks == sorted(set(masks))
+        masks = regions_by_sort(W25134)
+        assert masks.tolist() == sorted(set(masks.tolist()))
         assert masks[0] == 0 and masks[-1] == inversion_mask(W25134.word)
-        assert int(popcounts(rs.masks).max()) == inversion_count(W25134)
+        assert int(popcounts(masks).max()) == inversion_count(W25134)
 
     def test_matches_orientation_count(self):
         for n in range(1, 6):
@@ -230,14 +229,14 @@ class TestRegions:
         # distances are checked against the re and distance columns by
         # tests/test_columns.py and the oracle rows.
         for word in _region_sample_words():
-            rs = regions_by_sort(Permutation(word))
-            assert rs.masks[0] == 0 and rs.masks[-1] == inversion_mask(word), word
+            masks = regions_by_sort(Permutation(word))
+            assert masks[0] == 0 and masks[-1] == inversion_mask(word), word
 
     def test_gate_regions_match_the_region_sort(self):
         # one gate per region: the gates' masks are the sort's, each once
         for word in _region_sample_words():
             w = Permutation(word)
-            gates, by_sort = regions(w).masks, regions_by_sort(w).masks
+            gates, by_sort = regions(w), regions_by_sort(w)
             assert gates.dtype == by_sort.dtype == np.uint32, word
             assert np.sort(gates).tolist() == by_sort.tolist(), word
 

@@ -1,6 +1,7 @@
 """Run every docstring example and the README's; they double as frozen
-regression values.  The README's route census and entry-point list must
-name only what exists."""
+regression values.  The README's route census, API census and
+entry-point list must name only what exists, and the API census must
+name every export."""
 
 import doctest
 import re
@@ -63,7 +64,6 @@ def _resolves(name: str) -> bool:
 
 
 def test_readme_names_exist():
-    census = _readme_section("## Route census", "\n## ")
     known = set(invarr.StatRecord._fields)
     known |= {result.name for result in invarr.oracle_checks(1)}
     relations = verify._RELATIONS + verify._REGION_RELATIONS + verify._POLY_RELATIONS
@@ -71,10 +71,18 @@ def test_readme_names_exist():
     known |= set(verify.DEPTHS)
     for path in (ROOT / "tests").glob("test_*.py"):
         known |= set(re.findall(r"def (test_\w+)", path.read_text()))
-    names = re.findall(r"`([A-Za-z_][\w.]*)`", census)
-    assert len(names) > 50
-    for name in names:
-        assert MATH.fullmatch(name) or name in known or _resolves(name), name
+    for section in ("## Route census", "## API census"):
+        names = re.findall(r"`([A-Za-z_][\w.]*)`", _readme_section(section, "\n## "))
+        assert len(names) > 50
+        for name in names:
+            assert MATH.fullmatch(name) or name in known or _resolves(name), name
     entry_points = _readme_section("all exported from `invarr`:", "All counting")
     for name in re.findall(r"`(\w+)", entry_points):
         assert MATH.fullmatch(name) or name in invarr.__all__, name
+
+
+def test_api_census_names_exactly_the_exports():
+    table = _readme_section("## API census", "\n## ")
+    names = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(invarr.__all__)

@@ -1,17 +1,20 @@
-"""Golden report bytes: the SHA-256 of the sweep reports of S1-S7.
+"""Golden report bytes: the SHA-256 of the sweep reports of S1-S8 and of
+the CLI's JSON.
 
 A refactor of any route must leave these bytes unchanged.
 ``REPORT_SHA256`` pins the JSON and the full CSV of every S1-S7 report
 at every depth.  The S7 ``polys`` CSV is also hashed with its last
 column (``distance_poly``) stripped from every line, so filling more of
-that column on purpose moves only the full pin.
+that column on purpose moves only the full pin.  The S8 reports and the
+CLI's ``stats`` and ``oracle-check`` JSON carry the hashes that the CI
+workflow (``.github/workflows/tier1.yml``) checks end to end.
 """
 
 import hashlib
 
 import pytest
 
-from invarr import verify
+from invarr import cli, verify
 
 # (n, depth): (JSON SHA-256, CSV SHA-256)
 REPORT_SHA256 = {
@@ -109,6 +112,13 @@ ORACLE_JSON_SHA256 = {
     6: "2ad6dc84bb8f382192dbf5e4ea0cabb74cb1b18cae7e4f420b83596c58320da5",
 }
 S7_POLYS_CSV_SHA256 = "d759b40cb542ed4c42d3cefaab29978dd6e4dd3eb65c681e481c568292641abd"
+# (depth, format) of the S8 reports the CI workflow pins
+S8_REPORT_SHA256 = {
+    ("counts", "json"): "ef42edd8e8a41a9f98ce26898c38d972dcf26617975d4bfe0927670b8317cca4",
+    ("with_region_oracle", "csv"): "9a59fe0d18e64a0beb371a97c6ddd12eb3b26fb70630c5dd39024b845a25a2c6",
+}
+STATS_87654321_JSON_SHA256 = "4e35e22dfba6a460ba116d3c2f043402e642907526fb728cd359cf5daffbc881"
+ORACLE_CHECK_7_JSON_SHA256 = "90dbf5f571225e40f7eb54e259d3659a8e6672646ebec2e9a770c03b0c282e73"
 
 
 def _sha256(payload: bytes) -> str:
@@ -133,3 +143,29 @@ def test_s7_polys_csv_bytes_without_distance_column(sweep7_polys):
     lines = verify.emit_report(sweep7_polys.report, "csv").decode().splitlines()
     stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
     assert _sha256(stripped.encode()) == S7_POLYS_CSV_SHA256
+
+
+@pytest.mark.parametrize("depth, fmt", list(S8_REPORT_SHA256))
+def test_s8_report_bytes(depth, fmt):
+    report = verify.sweep(8, depth)
+    assert _sha256(verify.emit_report(report, fmt)) == S8_REPORT_SHA256[depth, fmt]
+
+
+def _cli_stdout(capsys, argv) -> bytes:
+    assert cli.run(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+def test_cli_stats_json_bytes(capsys):
+    out = _cli_stdout(capsys, ["stats", "87654321", "--format", "json"])
+    assert _sha256(out) == STATS_87654321_JSON_SHA256
+
+
+def test_cli_oracle_check_json_bytes(capsys, monkeypatch, oracle_checks_at_caps):
+    # Every row's cap is at most 7, so oracle_checks(9) ran the rows of
+    # oracle_checks(7); the JSON's own "n" comes from the command line.
+    results, _ = oracle_checks_at_caps
+    assert all(r.n <= 7 for r in results)
+    monkeypatch.setattr(verify, "oracle_checks", lambda n: results)
+    out = _cli_stdout(capsys, ["oracle-check", "--n", "7", "--format", "json"])
+    assert _sha256(out) == ORACLE_CHECK_7_JSON_SHA256

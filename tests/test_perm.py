@@ -1,4 +1,4 @@
-"""Unit tests for permutations, inversion sets, codes, and patterns."""
+"""Unit tests for permutations, inversion masks, codes, and patterns."""
 
 import itertools
 import random
@@ -17,7 +17,6 @@ from invarr.perm import (
     POINCARE_MATCH_PATTERNS,
     REGION_BRUHAT_EQUALITY_PATTERNS,
     WEAK_EQUALITY_PATTERNS,
-    InversionSet,
     Permutation,
     avoids_all,
     code_product,
@@ -25,11 +24,9 @@ from invarr.perm import (
     inverse,
     inversion_count,
     inversion_mask,
-    inversion_set,
     iter_words,
     lehmer_code,
     parse_permutation,
-    pair_slot,
     popcounts,
     _pattern_windows,
     unrank_lex,
@@ -75,6 +72,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty"):
             Permutation(())
 
+    def test_letters_must_be_integers(self):
+        with pytest.raises(TypeError):
+            Permutation((2.7, 1.2))
+        with pytest.raises(TypeError):
+            Permutation(("2", "1"))
+        w = Permutation(tuple(np.array([2, 1], dtype=np.int8)))
+        assert w.word == (2, 1) and type(w.word[0]) is int
+
     def test_identity_and_longest(self):
         assert Permutation.identity(4).word == (1, 2, 3, 4)
         assert Permutation.longest(4).word == (4, 3, 2, 1)
@@ -107,15 +112,11 @@ class TestParsing:
 
 class TestInversions:
     def test_frozen_examples(self):
-        assert sorted(inversion_set(W25134).pairs()) == [
-            (1, 3),
-            (2, 3),
-            (2, 4),
-            (2, 5),
-        ]
-        assert inversion_set(Permutation.identity(5)).mask == 0
+        # slots 1, 4, 5, 6 of n = 5: the pairs (1, 3), (2, 3), (2, 4), (2, 5)
+        assert inversion_mask(W25134.word) == 0b1110010
+        assert inversion_mask(Permutation.identity(5).word) == 0
         w0 = Permutation.longest(5)
-        assert len(inversion_set(w0)) == 10
+        assert inversion_mask(w0.word) == (1 << 10) - 1
         assert inversion_count(w0) == 10
 
     def test_only_identity_is_empty_and_only_longest_is_full(self):
@@ -126,25 +127,15 @@ class TestInversions:
                 assert (count == 0) == (word == Permutation.identity(n).word)
                 assert (count == full) == (word == Permutation.longest(n).word)
 
-    def test_pair_slot_lexicographic(self):
-        assert pair_slot(4, 1, 2) == 0
-        assert pair_slot(4, 1, 4) == 2
-        assert pair_slot(4, 3, 4) == 5
-        with pytest.raises(ValueError):
-            pair_slot(4, 3, 3)
-
-    def test_membership_and_subset(self):
-        s = inversion_set(W25134)
-        assert (2, 4) in s
-        assert (1, 2) not in s
-        assert (0, 9) not in s
-        assert s.issubset(inversion_set(Permutation.longest(5)))
-        with pytest.raises(ValueError, match="mixed sizes"):
-            s.issubset(inversion_set(Permutation.identity(4)))
-
-    def test_mask_validation(self):
-        with pytest.raises(ValueError, match="out of range"):
-            InversionSet(3, 1 << 3)
+    def test_mask_slots_are_lexicographic(self):
+        assert inversion_mask((2, 1, 3, 4)) == 1 << 0  # (1, 2)
+        assert inversion_mask((2, 3, 4, 1)) == 1 << 2 | 1 << 4 | 1 << 5  # (1, 4), (2, 4), (3, 4)
+        assert inversion_mask((1, 2, 4, 3)) == 1 << 5  # (3, 4)
+        pairs = list(itertools.combinations(range(4), 2))
+        for word in iter_words(4):
+            mask = inversion_mask(word)
+            bits = [mask >> slot & 1 for slot in range(len(pairs))]
+            assert bits == [int(word[i] > word[j]) for i, j in pairs], word
 
 
 class TestLehmerCode:

@@ -1,5 +1,6 @@
 """Unit tests for the exact q-polynomial arithmetic."""
 
+import numpy as np
 import pytest
 
 from invarr.qpoly import INT64_MAX, QPolynomial, checked_int64
@@ -50,6 +51,15 @@ def test_evaluation_is_horner_exact():
 def test_negative_coefficient_rejected():
     with pytest.raises(ValueError, match="negative coefficient"):
         QPolynomial((1, -2))
+
+
+def test_coefficients_must_be_integers():
+    with pytest.raises(TypeError):
+        QPolynomial((1.5,))
+    with pytest.raises(TypeError):
+        QPolynomial(("1",))
+    p = QPolynomial(tuple(np.array([1, 2], dtype=np.uint16)))
+    assert p.coeffs == (1, 2) and type(p.coeffs[0]) is int
 
 
 def test_overflow_checked_everywhere():

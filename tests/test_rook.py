@@ -15,7 +15,6 @@ from invarr.perm import (
 )
 from invarr.rook import (
     Board,
-    count_rook_placements,
     count_rook_placements_by_backtracking,
     is_right_justified_ferrers,
     rook_count,
@@ -81,16 +80,16 @@ class TestRookCount:
 
     def test_full_and_empty_boards(self):
         full = Board(4, frozenset((r, c) for r in range(1, 5) for c in range(1, 5)))
-        assert count_rook_placements(full) == factorial(4)
-        assert count_rook_placements(Board(4, frozenset())) == 0
+        empty = Board(4, frozenset())
+        rows = np.array([full.row_masks(), empty.row_masks()], dtype=np.uint16)
+        assert rook.permanents(rows).tolist() == [factorial(4), 0]
 
-    def test_permanent_matches_backtracking(self):
+    def test_rook_count_matches_backtracking(self):
         for n in range(1, 6):
             for word in iter_words(n):
-                board = southwest_diagram(Permutation(word)).complement()
-                fast = count_rook_placements(board)
-                slow = count_rook_placements_by_backtracking(board)
-                assert fast == slow, word
+                w = Permutation(word)
+                slow = count_rook_placements_by_backtracking(southwest_diagram(w).complement())
+                assert rook_count(w) == slow, word
 
     def test_batched_permanents_span_blocks_and_wide_products(self):
         # 300 boards at n = 7 fill three Ryser blocks; n = 10..12 take int64 products
@@ -112,9 +111,6 @@ class TestRookCount:
     def test_caps(self):
         with pytest.raises(ValueError, match="n <= 12"):
             rook_count(Permutation.longest(13))
-        big = Board(13, frozenset())
-        with pytest.raises(ValueError, match="n <= 12"):
-            count_rook_placements(big)
 
 
 class TestShape:

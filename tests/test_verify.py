@@ -681,7 +681,7 @@ class TestOracleChecks:
         monkeypatch.setattr(rook, "rook_count", lambda w: rook_count(w) + (w == wrong))
         failed = {r.name: r.detail for r in verify.oracle_checks(4) if not r.passed}
         assert failed == {
-            "rook_permanent_vs_backtracking": "w=2413: (8, 8) vs (8, 9)",
+            "rook_permanent_vs_backtracking": "w=2413: 9 vs 8",
             "rook_column_vs_rook_count": "w=2413: 8 vs 9",
         }
 
