@@ -96,9 +96,10 @@ def parse_permutation(text: str) -> Permutation:
     """Parse one-line notation, compact ("25134") or separated ("2,5,1,3,4").
 
     Words with any comma or whitespace are split on runs of those
-    separators; otherwise every character must be a single digit.  Words
-    longer than 9 letters must use separators, since compact digits would
-    be ambiguous.
+    separators; otherwise every character must be a single digit.  Only
+    the ASCII digits 0-9 count, not the signs, underscores or other
+    Unicode digits that ``int`` accepts.  Words longer than 9 letters must
+    use separators, since compact digits would be ambiguous.
 
     >>> parse_permutation("312").word
     (3, 1, 2)
@@ -112,15 +113,12 @@ def parse_permutation(text: str) -> Permutation:
         raise ValueError("empty permutation")
     if _re.search(r"[,\s]", stripped):
         tokens = [t for t in _re.split(r"[,\s]+", stripped) if t]
-        values = []
-        for tok in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise ValueError(f"invalid token {tok!r} in permutation") from None
-        return Permutation(tuple(values))
-    if not stripped.isdigit():
-        bad = next(ch for ch in stripped if not ch.isdigit())
+        bad = next((t for t in tokens if not _re.fullmatch("[0-9]+", t)), None)
+        if bad is not None:
+            raise ValueError(f"invalid token {bad!r} in permutation")
+        return Permutation(tuple(map(int, tokens)))
+    bad = next((ch for ch in stripped if ch not in "0123456789"), None)
+    if bad is not None:
         raise ValueError(f"invalid character {bad!r} in permutation")
     if len(stripped) > 9:
         raise ValueError(

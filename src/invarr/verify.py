@@ -15,13 +15,13 @@ the six statistics
 plus pattern-avoidance flags and, at the deeper settings, the rank
 generating polynomials.  Every stated inequality, equality, and
 pattern-characterized equality among the statistics is one row of a
-relation table, (name, predicate, detail), and a sweep evaluates each
-predicate once, as a numpy boolean array over all of S_n.  The empirical
-class counts that summarize the sweep are the sums of the same masks the
-relations read, so a count and a check cannot disagree.  Violations are
-built only for the ranks where some relation fails: in ascending rank
-order, within a rank in table order, each with its detail text and its
-full record.
+relation table, (name, shown, predicate), and a sweep evaluates each
+predicate once, as a numpy boolean array over all of S_n.  The
+empirical class counts that summarize the sweep are the sums of the same
+masks the relations read, so a count and a check cannot disagree.
+Violations are built only for the ranks where some relation fails: in
+ascending rank order, within a rank in table order, each with its full
+record and its detail text, ``name=value`` for each name in ``shown``.
 
 A sweep runs in the calling process and reads every field of every
 record, at every depth, from the whole-group columns of the cached
@@ -30,7 +30,10 @@ whole group (the ``columns`` module gives them).  ``stat_record``
 computes the same fields by the per-record routes.  Both hand a
 record's field values, in ``StatRecord`` order, to the one record
 assembly, ``_build_record``, which builds the record, a NamedTuple, by
-position.  ``oracle_checks`` runs two tables of comparisons:
+position.  ``StatRecord._fields`` is the one list of a record's fields:
+the sweep's whole-group fields begin with the same names in the same
+order, and the records, the JSON dict, the CSV header and the report
+writer all follow it.  ``oracle_checks`` runs two tables of comparisons:
 ``COLUMN_ROUTES``, each column against the route or definition that
 checks it, and ``ROUTE_ORACLES``, each route against its definitional
 oracle.
@@ -50,10 +53,11 @@ count ``re``.
 
 ``emit_report`` writes the records from the report's whole-group fields,
 not from the records: ``_EMIT_CHUNK`` ranks at a time, each field's
-cells are formatted for the whole chunk at once (ints and flags by
-lookup, words and codes as fixed-width digit rows, each polynomial
-column once per distinct row), set between constant separators in one
-object array, joined into one string and encoded.
+cells are formatted for the whole chunk at once, by a formatter chosen
+once per field by its kind (ints and flags by lookup, words and codes as
+fixed-width digit rows, each polynomial column once per distinct row),
+set between constant separators in one object array, joined into one
+string and encoded.
 ``StatRecord.to_json_dict`` stays the definition of a record's JSON: the
 writer must reproduce ``json.dumps`` of the records' dicts byte for
 byte, and ``invarr stats`` and the violations, which are rare, go
@@ -93,7 +97,6 @@ from .perm import (
     avoids_all,  # unused here; the benchmark's tracer wraps verify.avoids_all
     code_product,
     contains_pattern,
-    iter_words,
     length_polynomial,
     lehmer_code,
     unrank_lex,
@@ -129,26 +132,13 @@ class StatRecord(NamedTuple):
     distance_poly: QPolynomial | None
 
     def to_json_dict(self) -> dict:
-        def poly(p: QPolynomial | None) -> list[int] | None:
-            return None if p is None else p.to_list()
-
         return {
-            "w": list(self.w),
-            "inv": self.inv,
-            "code": list(self.code),
-            "prod": self.prod,
-            "wk": self.wk,
-            "br": self.br,
-            "ao": self.ao,
-            "rk": self.rk,
-            "re": self.re,
-            "avoids_231_312": self.avoids_231_312,
-            "avoids_four": self.avoids_four,
-            "avoids_3412_4231": self.avoids_3412_4231,
-            "weak_poly": poly(self.weak_poly),
-            "bruhat_poly": poly(self.bruhat_poly),
-            "product_poly": poly(self.product_poly),
-            "distance_poly": poly(self.distance_poly),
+            name: (
+                list(value) if isinstance(value, tuple)
+                else value.to_list() if isinstance(value, QPolynomial)
+                else value
+            )
+            for name, value in zip(self._fields, self)
         }
 
 
@@ -183,27 +173,31 @@ class _Fields:
     the words and codes as small ints, the counts in the dtypes the group
     table stores them in, the flags as bool and the polynomials as
     unsigned coefficient rows of one width.
+    The first 16 fields are ``StatRecord._fields``, in that order, which
+    the records and the report writer follow; the three after them are
+    read only by the relations and classes.
     The polynomials are None at depth ``counts`` and re is None below
     depth ``with_region_oracle``."""
 
     w: np.ndarray
-    code: np.ndarray
     inv: np.ndarray
+    code: np.ndarray
     prod: np.ndarray
     wk: np.ndarray
     br: np.ndarray
     ao: np.ndarray
     rk: np.ndarray
-    avoids_231: np.ndarray
-    avoids_312: np.ndarray
+    re: np.ndarray | None
+    avoids_231_312: np.ndarray
     avoids_four: np.ndarray
     avoids_3412_4231: np.ndarray
+    weak_poly: np.ndarray | None
+    bruhat_poly: np.ndarray | None
+    product_poly: np.ndarray | None
+    distance_poly: np.ndarray | None
+    avoids_231: np.ndarray
+    avoids_312: np.ndarray
     ferrers: np.ndarray
-    weak: np.ndarray | None
-    bruhat: np.ndarray | None
-    product: np.ndarray | None
-    distance: np.ndarray | None
-    re: np.ndarray | None
 
     @cached_property
     def re_eff(self) -> np.ndarray:
@@ -213,7 +207,7 @@ class _Fields:
 
     @cached_property
     def weak_eq_product(self) -> np.ndarray:
-        return (self.weak == self.product).all(axis=1)
+        return (self.weak_poly == self.product_poly).all(axis=1)
 
     @cached_property
     def classes(self) -> dict[str, np.ndarray]:
@@ -226,12 +220,12 @@ class _Fields:
             "wk_eq_br": self.wk == self.br,
             "avoids_231": self.avoids_231,
             "avoids_312": self.avoids_312,
-            "avoids_231_312": self.avoids_231 & self.avoids_312,
+            "avoids_231_312": self.avoids_231_312,
             "avoids_four": self.avoids_four,
             "avoids_3412_4231": self.avoids_3412_4231,
             "ferrers_312_containing": self.ferrers & ~self.avoids_312,
         }
-        if self.weak is not None:
+        if self.weak_poly is not None:
             classes["weak_poly_eq_product_poly_231_containing"] = (
                 ~self.avoids_231 & self.weak_eq_product
             )
@@ -245,55 +239,45 @@ def _sweep_fields(n: int, depth: str) -> _Fields:
     # Bruhat first: built after the other columns, its multi-MB temporaries
     # raise the peak of a cold S8 ``counts`` sweep from 94 to 105 MiB.
     br = table.bruhat.sum(axis=1, dtype=np.int64)
-    polys = [None] * 4
+    polys = dict.fromkeys(("weak_poly", "bruhat_poly", "product_poly", "distance_poly"))
     if depth != "counts":
-        polys = [table.weak, table.bruhat, table.product, table.distance]
+        polys = dict(zip(polys, (table.weak, table.bruhat, table.product, table.distance)))
+    # By keyword, so that the columns are built in this order, the order
+    # in which the sweep's peak memory was measured.
     return _Fields(
-        table.words,
-        table.code,
-        table.inv,
-        table.prod,
-        table.wk,
-        br,
-        table.ao,
-        table.rk,
-        table.avoids((PATTERN_231,)),
-        table.avoids((PATTERN_312,)),
-        table.avoids(REGION_BRUHAT_EQUALITY_PATTERNS),
-        table.avoids(POINCARE_MATCH_PATTERNS),
-        table.ferrers,
-        *polys,
-        table.re if depth == "with_region_oracle" else None,
+        **polys,
+        w=table.words,
+        code=table.code,
+        inv=table.inv,
+        prod=table.prod,
+        wk=table.wk,
+        br=br,
+        ao=table.ao,
+        rk=table.rk,
+        avoids_231=table.avoids((PATTERN_231,)),
+        avoids_312=table.avoids((PATTERN_312,)),
+        avoids_231_312=table.avoids(WEAK_EQUALITY_PATTERNS),
+        avoids_four=table.avoids(REGION_BRUHAT_EQUALITY_PATTERNS),
+        avoids_3412_4231=table.avoids(POINCARE_MATCH_PATTERNS),
+        ferrers=table.ferrers,
+        re=table.re if depth == "with_region_oracle" else None,
     )
 
 
-def _sweep_records(n: int, fields: _Fields) -> list[StatRecord]:
-    """The records of every word of S_n in rank order, from ``fields``."""
-    absent = itertools.repeat(None)
-    polys = [absent] * 4
-    if fields.weak is not None:
-        polys = [
-            QPolynomial.from_column(column)
-            for column in (fields.weak, fields.bruhat, fields.product, fields.distance)
-        ]
-    return list(
-        map(
-            _build_record,
-            iter_words(n),
-            fields.inv.tolist(),
-            map(tuple, fields.code.tolist()),
-            fields.prod.tolist(),
-            fields.wk.tolist(),
-            fields.br.tolist(),
-            fields.ao.tolist(),
-            fields.rk.tolist(),
-            absent if fields.re is None else fields.re.tolist(),
-            fields.classes["avoids_231_312"].tolist(),
-            fields.avoids_four.tolist(),
-            fields.avoids_3412_4231.tolist(),
-            *polys,
-        )
-    )
+def _sweep_records(fields: _Fields) -> list[StatRecord]:
+    """The records of every rank of ``fields``, in rank order."""
+
+    def values(name: str) -> Iterable:
+        column = getattr(fields, name)
+        if column is None:
+            return itertools.repeat(None)
+        if name.endswith("_poly"):
+            return QPolynomial.from_column(column)
+        if column.ndim == 2:
+            return zip(*column.T.tolist())
+        return column.tolist()
+
+    return list(map(_build_record, *map(values, StatRecord._fields)))
 
 
 def _bulk_bruhat(word: Word, table: GroupTable, want_poly: bool):
@@ -316,74 +300,52 @@ def _build_record(*fields) -> StatRecord:
     return StatRecord(*fields)
 
 
-def _poly(coeffs: np.ndarray) -> QPolynomial:
-    return QPolynomial(coeffs.tolist())
-
-
-# The relations, as (name, predicate over _Fields, detail of rank k): the
-# chain and its equality cases at every depth, re = ao where the region
-# oracle ran, and the polynomial relations past ``counts``.  A rank's
+# The relations, as (name, shown, predicate over _Fields): the chain and
+# its equality cases at every depth, re = ao where the region oracle ran,
+# and the polynomial relations past ``counts``.  A violation's detail
+# shows the values of the names in ``shown`` (``_detail``).  A rank's
 # violations are reported in table order.
 _RELATIONS = (
-    ("wk_le_prod", lambda f: f.wk <= f.prod, lambda f, k: f"wk={f.wk[k]} prod={f.prod[k]}"),
-    ("prod_le_rk", lambda f: f.prod <= f.rk, lambda f, k: f"prod={f.prod[k]} rk={f.rk[k]}"),
-    ("ao_eq_rk", lambda f: f.ao == f.rk, lambda f, k: f"ao={f.ao[k]} rk={f.rk[k]}"),
-    ("re_le_br", lambda f: f.re_eff <= f.br, lambda f, k: f"re={f.re_eff[k]} br={f.br[k]}"),
-    (
-        "wk_eq_prod_iff_avoids_231",
-        lambda f: f.classes["wk_eq_prod"] == f.avoids_231,
-        lambda f, k: f"wk={f.wk[k]} prod={f.prod[k]} avoids_231={f.avoids_231[k]}",
-    ),
-    (
-        "prod_eq_rk_iff_avoids_312",
-        lambda f: f.classes["prod_eq_rk"] == f.avoids_312,
-        lambda f, k: f"prod={f.prod[k]} rk={f.rk[k]} avoids_312={f.avoids_312[k]}",
-    ),
-    (
-        "re_eq_br_iff_avoids_four",
-        lambda f: f.classes["re_eq_br"] == f.avoids_four,
-        lambda f, k: f"re={f.re_eff[k]} br={f.br[k]} avoids_four={f.avoids_four[k]}",
-    ),
-    (
-        "re_eq_wk_iff_avoids_231_312",
-        lambda f: f.classes["re_eq_wk"] == f.classes["avoids_231_312"],
-        lambda f, k: (
-            f"re={f.re_eff[k]} wk={f.wk[k]} "
-            f"avoids_231_312={f.classes['avoids_231_312'][k]}"
-        ),
-    ),
-    (
-        "wk_eq_br_iff_avoids_231_312",
-        lambda f: f.classes["wk_eq_br"] == f.classes["avoids_231_312"],
-        lambda f, k: (
-            f"wk={f.wk[k]} br={f.br[k]} avoids_231_312={f.classes['avoids_231_312'][k]}"
-        ),
-    ),
+    ("wk_le_prod", "wk prod", lambda f: f.wk <= f.prod),
+    ("prod_le_rk", "prod rk", lambda f: f.prod <= f.rk),
+    ("ao_eq_rk", "ao rk", lambda f: f.ao == f.rk),
+    ("re_le_br", "re br", lambda f: f.re_eff <= f.br),
+    ("wk_eq_prod_iff_avoids_231", "wk prod avoids_231",
+     lambda f: f.classes["wk_eq_prod"] == f.avoids_231),
+    ("prod_eq_rk_iff_avoids_312", "prod rk avoids_312",
+     lambda f: f.classes["prod_eq_rk"] == f.avoids_312),
+    ("re_eq_br_iff_avoids_four", "re br avoids_four",
+     lambda f: f.classes["re_eq_br"] == f.avoids_four),
+    ("re_eq_wk_iff_avoids_231_312", "re wk avoids_231_312",
+     lambda f: f.classes["re_eq_wk"] == f.avoids_231_312),
+    ("wk_eq_br_iff_avoids_231_312", "wk br avoids_231_312",
+     lambda f: f.classes["wk_eq_br"] == f.avoids_231_312),
 )
-_REGION_RELATIONS = (
-    ("re_eq_ao", lambda f: f.re == f.ao, lambda f, k: f"re={f.re[k]} ao={f.ao[k]}"),
-)
+_REGION_RELATIONS = (("re_eq_ao", "re ao", lambda f: f.re == f.ao),)
 _POLY_RELATIONS = (
-    (
-        "weak_poly_eq_product_poly_if_avoids_231",
-        lambda f: ~f.avoids_231 | f.weak_eq_product,
-        lambda f, k: f"weak={_poly(f.weak[k])} product={_poly(f.product[k])}",
-    ),
-    (
-        "distance_poly_consistent",
-        lambda f: (f.distance.sum(axis=1, dtype=np.int64) == f.re_eff)
-        & (column_degrees(f.distance) == f.inv),
-        lambda f, k: f"distance={_poly(f.distance[k])} re={f.re_eff[k]} inv={f.inv[k]}",
-    ),
-    (
-        "distance_matches_bruhat_iff_avoids_3412_4231",
-        lambda f: (f.distance == f.bruhat).all(axis=1) == f.avoids_3412_4231,
-        lambda f, k: (
-            f"distance={_poly(f.distance[k])} bruhat={_poly(f.bruhat[k])} "
-            f"avoids_3412_4231={f.avoids_3412_4231[k]}"
-        ),
-    ),
+    ("weak_poly_eq_product_poly_if_avoids_231", "weak product",
+     lambda f: ~f.avoids_231 | f.weak_eq_product),
+    ("distance_poly_consistent", "distance re inv",
+     lambda f: (f.distance_poly.sum(axis=1, dtype=np.int64) == f.re_eff)
+     & (column_degrees(f.distance_poly) == f.inv)),
+    ("distance_matches_bruhat_iff_avoids_3412_4231", "distance bruhat avoids_3412_4231",
+     lambda f: (f.distance_poly == f.bruhat_poly).all(axis=1) == f.avoids_3412_4231),
 )
+
+
+def _detail(fields: _Fields, shown: str, k: int) -> str:
+    """``name=value`` of rank k for each name in ``shown``: re is ``re_eff``,
+    and a name with a ``*_poly`` field is that row's polynomial."""
+    cells = []
+    for name in shown.split():
+        if name == "re":
+            value = fields.re_eff[k]
+        elif hasattr(fields, name + "_poly"):
+            value = QPolynomial(getattr(fields, name + "_poly")[k].tolist())
+        else:
+            value = getattr(fields, name)[k]
+        cells.append(f"{name}={value}")
+    return " ".join(cells)
 
 
 def _record_checks(fields: _Fields) -> list[tuple[str, np.ndarray, Callable[[int], str]]]:
@@ -393,11 +355,11 @@ def _record_checks(fields: _Fields) -> list[tuple[str, np.ndarray, Callable[[int
     table = _RELATIONS
     if fields.re is not None:
         table += _REGION_RELATIONS
-    if fields.weak is not None:
+    if fields.weak_poly is not None:
         table += _POLY_RELATIONS
     return [
-        (name, holds(fields), partial(detail, fields))
-        for name, holds, detail in table
+        (name, holds(fields), partial(_detail, fields, shown))
+        for name, shown, holds in table
     ]
 
 
@@ -470,7 +432,7 @@ def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> Swee
     if n < 1:
         raise ValueError("n must be at least 1")
     fields = _sweep_fields(n, depth)
-    records = _sweep_records(n, fields)
+    records = _sweep_records(fields)
     checks = _record_checks(fields)
     class_counts = _update_class_counts(fields)
     failing = ~np.logical_and.reduce([holds for _, holds, _ in checks])
@@ -559,44 +521,39 @@ def _record_chunks(fields: _Fields, format: str) -> Iterator[bytes]:
     """The records of ``fields`` as encoded text, ``_EMIT_CHUNK`` ranks at a time.
 
     A chunk is one object array of rows of separators and cells, each
-    field's cells taken for the whole chunk at once, joined into one
-    string: ints and flags by lookup in their strings, lists as
-    fixed-width digit rows, and each polynomial cell from the cells of
-    its column's distinct rows.
+    field's cells taken for the whole chunk at once by a formatter chosen
+    once per field, by its kind, in ``StatRecord`` order: ints and flags
+    by lookup in their strings, lists as fixed-width digit rows, each
+    polynomial cell from the cells of its column's distinct rows, and an
+    absent field as its constant cell.  The chunk is joined into one
+    string.
     """
-    absent = _ABSENT[format]
-    ints = [fields.inv, fields.prod, fields.wk, fields.br, fields.ao, fields.rk]
-    if fields.re is not None:
-        ints.append(fields.re)
+    columns = {name: getattr(fields, name) for name in StatRecord._fields}
+    ints = [c for c in columns.values() if c is not None and c.ndim == 1 and c.dtype != bool]
     numerals = np.array(list(map(str, range(max(int(c.max()) for c in ints) + 1))), dtype=object)
     flag = np.array(_FLAG, dtype=object)
-    flags = [fields.classes["avoids_231_312"], fields.avoids_four, fields.avoids_3412_4231]
-    polys = [
-        (None, None) if column is None else _poly_cells(column, format)
-        for column in (fields.weak, fields.bruhat, fields.product, fields.distance)
-    ]
+
+    def formatter(name: str, column: np.ndarray | None) -> Callable[[slice], object]:
+        if column is None:
+            return lambda ranks: _ABSENT[format]
+        if name.endswith("_poly"):
+            text, index = _poly_cells(column, format)
+            return lambda ranks: text[index[ranks]]
+        if column.ndim == 2:
+            return lambda ranks: _digit_cells(column[ranks], format)
+        if column.dtype == bool:
+            return lambda ranks: flag[column[ranks].view(np.uint8)]
+        return lambda ranks: numerals[column[ranks]]
+
+    cells = [formatter(name, column) for name, column in columns.items()]
     separators = _SEPARATORS[format]
     total = len(fields.inv)
     for lo in range(0, total, _EMIT_CHUNK):
         ranks = slice(lo, min(lo + _EMIT_CHUNK, total))
-        inv, prod, wk, br, ao, rk, *re = (numerals[column[ranks]] for column in ints)
-        cells = [
-            _digit_cells(fields.w[ranks], format),
-            inv,
-            _digit_cells(fields.code[ranks], format),
-            prod,
-            wk,
-            br,
-            ao,
-            rk,
-            re[0] if re else absent,
-            *(flag[column[ranks].view(np.uint8)] for column in flags),
-            *(absent if text is None else text[index[ranks]] for text, index in polys),
-        ]
         block = np.empty((ranks.stop - lo, len(separators) + len(cells)), dtype=object)
         block[:, ::2] = separators
-        for k, column in enumerate(cells):
-            block[:, 2 * k + 1] = column
+        for k, cell in enumerate(cells):
+            block[:, 2 * k + 1] = cell(ranks)
         if format == "json" and ranks.stop == total:
             block[-1, -1] = "}"
         yield "".join(block.ravel().tolist()).encode("utf-8")

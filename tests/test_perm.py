@@ -104,6 +104,15 @@ class TestParsing:
             parse_permutation("1 x 3")
         with pytest.raises(ValueError, match="invalid character"):
             parse_permutation("12a")
+        # int() and str.isdigit() accept more than the ASCII digits
+        with pytest.raises(ValueError, match="invalid token '1_0'"):
+            parse_permutation("2 1_0 3 4 5 6 7 8 9 1")
+        with pytest.raises(ValueError, match=r"invalid token '\+2'"):
+            parse_permutation("+2 1")
+        with pytest.raises(ValueError, match="invalid character '٢'"):
+            parse_permutation("٢1")
+        with pytest.raises(ValueError, match="invalid character '²'"):
+            parse_permutation("²1")
         with pytest.raises(ValueError, match="ambiguous beyond 9"):
             parse_permutation("1234567891")
         with pytest.raises(ValueError, match="not a permutation"):

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -174,16 +175,17 @@ def _one_record_fields(record):
         br=one(record.br),
         ao=one(record.ao),
         rk=one(record.rk),
-        avoids_231=one(not contains_pattern(w, PATTERN_231), bool),
-        avoids_312=one(not contains_pattern(w, PATTERN_312), bool),
+        re=one(record.re),
+        avoids_231_312=one(record.avoids_231_312, bool),
         avoids_four=one(record.avoids_four, bool),
         avoids_3412_4231=one(record.avoids_3412_4231, bool),
+        weak_poly=coefficients(record.weak_poly),
+        bruhat_poly=coefficients(record.bruhat_poly),
+        product_poly=coefficients(record.product_poly),
+        distance_poly=coefficients(record.distance_poly),
+        avoids_231=one(not contains_pattern(w, PATTERN_231), bool),
+        avoids_312=one(not contains_pattern(w, PATTERN_312), bool),
         ferrers=one(rook.is_right_justified_ferrers(rook.southwest_diagram(w)), bool),
-        weak=coefficients(record.weak_poly),
-        bruhat=coefficients(record.bruhat_poly),
-        product=coefficients(record.product_poly),
-        distance=coefficients(record.distance_poly),
-        re=one(record.re),
     )
 
 
@@ -253,6 +255,37 @@ class TestRecordChecks:
             "re_eq_br_iff_avoids_four": "re=17 br=16 avoids_four=True",
             "re_eq_ao": "re=17 ao=16",
             "distance_poly_consistent": "distance=1 + 4q + 6q^2 + 4q^3 + q^4 re=17 inv=4",
+        }
+
+    def test_every_other_relation_names_its_values(self):
+        # 32154 avoids 231, 312, the four patterns and 3412, 4231, so one
+        # tampered record breaks the eight relations not pinned above
+        record = verify.stat_record(
+            Permutation((3, 2, 1, 5, 4)), depth="with_region_oracle"
+        )
+        other = QPolynomial((1, 2, 6, 2, 1))
+        broken = record._replace(
+            wk=record.rk + 2, prod=record.rk + 1, weak_poly=other, distance_poly=other
+        )
+        failed = {
+            name: detail(0)
+            for name, holds, detail in verify._record_checks(_one_record_fields(broken))
+            if not holds[0]
+        }
+        assert failed == {
+            "wk_le_prod": "wk=14 prod=13",
+            "prod_le_rk": "prod=13 rk=12",
+            "wk_eq_prod_iff_avoids_231": "wk=14 prod=13 avoids_231=True",
+            "prod_eq_rk_iff_avoids_312": "prod=13 rk=12 avoids_312=True",
+            "re_eq_wk_iff_avoids_231_312": "re=12 wk=14 avoids_231_312=True",
+            "wk_eq_br_iff_avoids_231_312": "wk=14 br=12 avoids_231_312=True",
+            "weak_poly_eq_product_poly_if_avoids_231": (
+                "weak=1 + 2q + 6q^2 + 2q^3 + q^4 product=1 + 3q + 4q^2 + 3q^3 + q^4"
+            ),
+            "distance_matches_bruhat_iff_avoids_3412_4231": (
+                "distance=1 + 2q + 6q^2 + 2q^3 + q^4 bruhat=1 + 3q + 4q^2 + 3q^3 + q^4 "
+                "avoids_3412_4231=True"
+            ),
         }
 
 
@@ -586,11 +619,15 @@ class TestRecordWriters:
 
     def test_the_record_fields_are_in_the_order_of_every_writer(self):
         # _build_record takes the fields by position, so StatRecord's field
-        # order must be the order of the CSV header and of the JSON dict
+        # order must be the order of the CSV header and of the JSON dict;
+        # the sweep's records and report writer walk the first 16 fields
+        # of _Fields in that order
         fields = list(verify.StatRecord._fields)
         record = verify.stat_record(Permutation((2, 5, 1, 3, 4)), "with_region_oracle")
         assert fields == verify.CSV_HEADER.split(",")
         assert fields == list(record.to_json_dict())
+        swept = [f.name for f in dataclasses.fields(verify._Fields)]
+        assert swept[: len(fields)] == fields
 
     @pytest.mark.parametrize("depth", verify.DEPTHS)
     def test_json_report_with_violations_matches_the_dict_oracle(
