@@ -17,23 +17,19 @@ be written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 import time
 from contextlib import nullcontext
 
-from . import arrangement, orders, verify
+from . import arrangement, columns, orders, verify
 from .perm import parse_permutation
-from .qpoly import QPolynomial
 
 
 def _parse_word_args(parts: list[str]):
     return parse_permutation(" ".join(parts))
-
-
-def _format_poly(p: QPolynomial | None) -> str:
-    return "-" if p is None else str(p)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -42,30 +38,25 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(record.to_json_dict()))
         return 0
-    re_text = "-" if record.re is None else str(record.re)
-    print(f"w={' '.join(str(v) for v in record.w)}")
-    print(f"inv={record.inv}")
-    print(f"code={' '.join(str(c) for c in record.code)}")
-    print(
-        f"wk={record.wk} prod={record.prod} rk={record.rk} ao={record.ao} "
-        f"br={record.br} re={re_text}"
-    )
-    print(f"avoids_231_312={str(record.avoids_231_312).lower()}")
-    print(f"avoids_four={str(record.avoids_four).lower()}")
-    print(f"avoids_3412_4231={str(record.avoids_3412_4231).lower()}")
-    print(f"weak_poly={_format_poly(record.weak_poly)}")
-    print(f"bruhat_poly={_format_poly(record.bruhat_poly)}")
-    print(f"product_poly={_format_poly(record.product_poly)}")
-    print(f"distance_poly={_format_poly(record.distance_poly)}")
+    for name, value in zip(record._fields, record):
+        print(f"{name}={value}")
     return 0
+
+
+# Each choice of interval --order and poincare --which, and its route;
+# the first is the default.
+_INTERVALS = {"weak": orders.weak_interval, "bruhat": orders.bruhat_interval}
+_POINCARE = {
+    "weak": lambda w: orders.weak_interval(w).poincare,
+    "bruhat": lambda w: orders.bruhat_interval(w).poincare,
+    "product": orders.product_q_formula,
+    "distance": arrangement.distance_enumerator,
+}
 
 
 def _cmd_interval(args: argparse.Namespace) -> int:
     w = _parse_word_args(args.w)
-    if args.order == "weak":
-        summary = orders.weak_interval(w, with_elements=args.list)
-    else:
-        summary = orders.bruhat_interval(w, with_elements=args.list)
+    summary = _INTERVALS[args.order](w, with_elements=args.list)
     print(f"order      {args.order}")
     print(f"size       {summary.size}")
     print(f"max_length {summary.max_length}")
@@ -77,15 +68,7 @@ def _cmd_interval(args: argparse.Namespace) -> int:
 
 
 def _cmd_poincare(args: argparse.Namespace) -> int:
-    w = _parse_word_args(args.w)
-    if args.which == "weak":
-        poly = orders.weak_interval(w).poincare
-    elif args.which == "bruhat":
-        poly = orders.bruhat_interval(w).poincare
-    elif args.which == "product":
-        poly = orders.product_q_formula(w)
-    else:
-        poly = arrangement.distance_enumerator(w)
+    poly = _POINCARE[args.which](_parse_word_args(args.w))
     if args.format == "json":
         print(json.dumps({"which": args.which, "coeffs": poly.to_list()}))
     else:
@@ -96,8 +79,8 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.n >= 8 and not args.long:
         print(
-            "error: a full sweep of S_8 took 1.1-2.5 s from a cold start "
-            "and wrote 11.8-20.5 MiB of JSON (2 vCPU Xeon); pass --long to confirm",
+            "error: a full sweep of S_8 writes 11.8-20.5 MiB of JSON; "
+            "pass --long to confirm",
             file=sys.stderr,
         )
         return 2
@@ -123,15 +106,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     results = verify.oracle_checks(args.n)
     all_passed = all(r.passed for r in results)
     if args.format == "json":
-        doc = {
-            "n": args.n,
-            "checks": [
-                {"name": r.name, "n": r.n, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "passed": all_passed,
-        }
-        print(json.dumps(doc))
+        checks = [dataclasses.asdict(r) for r in results]
+        print(json.dumps({"n": args.n, "checks": checks, "passed": all_passed}))
     else:
         for r in results:
             status = "PASS" if r.passed else f"FAIL {r.detail}"
@@ -162,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_interval = sub.add_parser("interval", help="interval [id, w] in weak or Bruhat order")
     p_interval.add_argument("w", nargs="+", help=word_help)
-    p_interval.add_argument("--order", choices=("weak", "bruhat"), default="weak")
+    p_interval.add_argument("--order", choices=_INTERVALS, default=next(iter(_INTERVALS)))
     p_interval.add_argument(
         "--list", action="store_true", help="also print every element, sorted"
     )
@@ -170,17 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poincare = sub.add_parser("poincare", help="one rank generating polynomial")
     p_poincare.add_argument("w", nargs="+", help=word_help)
-    p_poincare.add_argument(
-        "--which",
-        choices=("weak", "bruhat", "product", "distance"),
-        default="weak",
-    )
+    p_poincare.add_argument("--which", choices=_POINCARE, default=next(iter(_POINCARE)))
     p_poincare.add_argument("--format", choices=("text", "json"), default="text")
     p_poincare.set_defaults(handler=_cmd_poincare)
 
     p_sweep = sub.add_parser("sweep", help="verify all relations over S_n")
     # Refused before --output is opened, so a refused size leaves the file as it was.
-    p_sweep.add_argument("--n", type=int, choices=range(1, 9), required=True)
+    p_sweep.add_argument("--n", type=int, choices=range(1, columns.MAX_TABLE_N + 1), required=True)
     p_sweep.add_argument("--depth", choices=verify.DEPTHS, default="counts")
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
     p_sweep.add_argument("--output", help="write the report here instead of stdout")

@@ -128,13 +128,6 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(tuple(int(ch) for ch in stripped))
 
 
-@lru_cache(maxsize=None)
-def _pair_tables(n: int) -> dict[tuple[int, int], int]:
-    """Bit slots for pairs (i, j), 1 <= i < j <= n, in lexicographic order."""
-    pairs = itertools.combinations(range(1, n + 1), 2)
-    return {pair: slot for slot, pair in enumerate(pairs)}
-
-
 def inversion_mask(word: Word) -> int:
     """Bit mask of I(w) for a bare word, in the lexicographic pair slots."""
     n = len(word)

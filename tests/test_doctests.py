@@ -1,16 +1,18 @@
-"""Run every docstring example and the README's; they double as frozen
-regression values.  The README's route census, API census and
-entry-point list must name only what exists, and the API census must
-name every export."""
+"""Run every docstring example, the README's, and its ``$ invarr``
+command examples; they double as frozen regression values.  The
+README's route census, API census and entry-point list must name only
+what exists, and the API census must name every export."""
 
 import doctest
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import invarr
 import invarr.arrangement
+import invarr.cli
 import invarr.columns
 import invarr.orders
 import invarr.perm
@@ -45,6 +47,20 @@ def test_readme_examples():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_readme_cli_examples(capsys):
+    """Each ``$ invarr`` block prints its lines; a sweep's summary carries
+    timings and it writes a report, so its block is not run."""
+    blocks = re.findall(r"^```\n\$ invarr ([^\n]*)\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert [command.split()[0] for command, _ in blocks] == [
+        "stats", "interval", "poincare", "sweep", "oracle-check"
+    ]
+    for command, expected in blocks:
+        if command.startswith("sweep"):
+            continue
+        assert invarr.cli.run(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out == expected, command
 
 
 def _readme_section(start: str, end: str) -> str:
