@@ -100,7 +100,6 @@ from .perm import (
     WEAK_EQUALITY_PATTERNS,
     Permutation,
     Word,
-    iter_words,
     popcounts,
 )
 
@@ -189,8 +188,22 @@ class GroupTable:
 
     @_array
     def words(self) -> np.ndarray:
-        """(n!, n) int8 words in lexicographic order."""
-        return np.array(list(iter_words(self.n)), dtype=np.int8)
+        """(n!, n) int8 words in lexicographic order, built by first-letter blocks.
+
+        S_k in lexicographic order is k blocks of (k - 1)! words, one for
+        each first letter f: f followed by the words of S_(k-1) with every
+        letter >= f raised by one.  Each S_k is filled from S_(k-1) a block
+        at a time, from the one empty word up to S_n, so no smaller table
+        is built and no word is a Python object.
+        """
+        words = np.zeros((1, 0), dtype=np.int8)
+        for k in range(1, self.n + 1):
+            blocks = np.empty((k, len(words), k), dtype=np.int8)
+            for f in range(1, k + 1):
+                blocks[f - 1, :, 0] = f
+                np.add(words, words >= f, out=blocks[f - 1, :, 1:])
+            words = blocks.reshape(-1, k)
+        return words
 
     @_array
     def masks(self) -> np.ndarray:

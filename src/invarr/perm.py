@@ -37,12 +37,19 @@ from .qpoly import QPolynomial, checked_int64
 
 Word = tuple[int, ...]
 
+
+def _bit_counts(bits: int) -> np.ndarray:
+    """The read-only uint8 bit counts of 0 .. 2^bits - 1, by doubling: the
+    values with the top bit set count one more than those without it."""
+    table = np.zeros(1, dtype=np.uint8)
+    for _ in range(bits):
+        table = np.concatenate((table, table + np.uint8(1)))
+    table.setflags(write=False)  # shared by perm, rook and columns
+    return table
+
+
 # Bit counts of the 16-bit values: np.bitwise_count is NumPy 2 only.
-POPCOUNT_16 = (
-    np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8))
-    .reshape(-1, 16)
-    .sum(axis=1, dtype=np.uint8)
-)
+POPCOUNT_16 = _bit_counts(16)
 # code_product of the longest element is n!; 20! < 2^63 <= 21!.
 MAX_CODE_PRODUCT_N = 20
 

@@ -21,6 +21,7 @@ cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .perm import POPCOUNT_16, Permutation
 from .qpoly import checked_int64
 
 MAX_PERMANENT_N = 12  # at most 16: the column subsets index POPCOUNT_16
-# Products one Ryser block holds at once (64 KiB of int32).
+# Products one Ryser block holds at once (64 KiB of int32), gathered from
+# n times as many uint8 row counts.
 _RYSER_CHUNK = 1 << 14
 
 
@@ -82,31 +84,39 @@ def southwest_diagram(w: Permutation) -> Board:
     return Board(n, frozenset(cells))
 
 
+@lru_cache(maxsize=MAX_PERMANENT_N)
+def _ryser_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^n column subsets S of an n x n board as uint16, and the
+    int64 signs (-1)^(n - |S|) of their Ryser terms, both read-only."""
+    subsets = np.arange(1 << n, dtype=np.uint16)
+    odd = (n - POPCOUNT_16[: 1 << n]) % 2 == 1
+    signs = np.where(odd, -1, 1).astype(np.int64)
+    for array in (subsets, signs):
+        array.setflags(write=False)  # shared by every later call at this n
+    return subsets, signs
+
+
 def permanents(rows: np.ndarray) -> np.ndarray:
     """Permanents of n x n boards given as (N, n) uint16 column masks per row, int64.
 
     Ryser inclusion-exclusion over the column subsets S:
     perm = sum over S of (-1)^(n - |S|) * prod_i popcount(row_i & S),
-    for a block of boards against all 2^n subsets at once.  Blocks hold
-    at most _RYSER_CHUNK products; a product of n row counts reaches
+    for a block of boards against all 2^n subsets at once: one gather of
+    the row counts, one product over the rows and one signed sum.  Blocks
+    hold at most _RYSER_CHUNK products; a product of n row counts reaches
     n^n, which int32 holds up to n = 9.
 
     >>> permanents(np.array([[3, 3], [1, 2]], dtype=np.uint16)).tolist()
     [2, 1]
     """
     n = rows.shape[1]
-    subsets = np.arange(1 << n, dtype=np.uint16)
-    odd = (n - POPCOUNT_16[: 1 << n]) % 2 == 1
-    signs = np.where(odd, -1, 1).astype(np.int64)
+    subsets, signs = _ryser_terms(n)
     dtype = np.int32 if n <= 9 else np.int64
     step = max(1, _RYSER_CHUNK >> n)
     out = np.empty(len(rows), dtype=np.int64)
     for lo in range(0, len(rows), step):
-        block = rows[lo : lo + step]
-        products = np.ones((len(block), 1 << n), dtype=dtype)
-        for i in range(n):
-            products *= POPCOUNT_16[block[:, i, None] & subsets]
-        out[lo : lo + step] = products @ signs
+        counts = POPCOUNT_16[rows[lo : lo + step, :, None] & subsets]
+        out[lo : lo + step] = counts.prod(axis=1, dtype=dtype) @ signs
     return out
 
 

@@ -10,6 +10,7 @@ sample of S8.
 import hashlib
 import itertools
 import random
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -95,6 +96,28 @@ def test_rk_column_equals_the_ryser_permanents_of_the_complement_boards(n):
     table = group_table(n)
     complement = columns._diagram_rows(table.words) ^ np.uint16((1 << n) - 1)
     assert table.rk.tolist() == rook.permanents(complement).tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_words_are_the_lexicographic_permutations(n):
+    # the first-letter blocks add int8 + bool, which keeps int8 on NumPy 1.x and 2.x
+    words = group_table(n).words
+    assert np.array_equal(words, np.array(list(itertools.permutations(range(1, n + 1)))))
+    assert words.dtype == np.int8
+    assert words.flags.c_contiguous and not words.flags.writeable
+
+
+def test_building_the_s8_words_peaks_below_twice_their_bytes():
+    # a fresh table, not the cached one; 8! Python tuples peaked near 19x
+    table = columns.GroupTable(8)
+    tracemalloc.start()
+    try:
+        words = table.words
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert words.nbytes == factorial(8) * 8
+    assert peak <= 2 * words.nbytes
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -15,6 +15,7 @@ from invarr.perm import (
     PATTERN_231,
     PATTERN_312,
     POINCARE_MATCH_PATTERNS,
+    POPCOUNT_16,
     REGION_BRUHAT_EQUALITY_PATTERNS,
     WEAK_EQUALITY_PATTERNS,
     Permutation,
@@ -307,6 +308,14 @@ class TestGroupTable:
         monkeypatch.setattr(columns, "MAX_TABLE_N", 9)
         with pytest.raises(ValueError, match="32 pair slots"):
             group_table.__wrapped__(9)
+
+    def test_popcount_table_is_a_read_only_uint8_bit_count(self):
+        # built by doubling with uint8 + 1, which keeps uint8 on NumPy 1.x and 2.x
+        assert POPCOUNT_16.dtype == np.uint8 and POPCOUNT_16.shape == (1 << 16,)
+        assert not POPCOUNT_16.flags.writeable
+        assert POPCOUNT_16.tolist() == [v.bit_count() for v in range(1 << 16)]
+        with pytest.raises(ValueError, match="read-only"):
+            POPCOUNT_16[0] = 1
 
     def test_needs_no_numpy2_popcount(self, monkeypatch):
         # pyproject allows numpy>=1.24, which has no np.bitwise_count

@@ -108,6 +108,14 @@ class TestRookCount:
             assert rook_count(Permutation.longest(n)) == factorial(n)
             assert rook_count(Permutation.identity(n)) == 1
 
+    def test_ryser_terms_are_cached_and_read_only(self):
+        subsets, signs = rook._ryser_terms(5)
+        assert rook._ryser_terms(5)[0] is subsets
+        assert subsets.tolist() == list(range(32))
+        assert signs.tolist() == [(-1) ** (5 - s.bit_count()) for s in range(32)]
+        assert not subsets.flags.writeable and not signs.flags.writeable
+        assert rook._ryser_terms.cache_info().maxsize == rook.MAX_PERMANENT_N
+
     def test_caps(self):
         with pytest.raises(ValueError, match="n <= 12"):
             rook_count(Permutation.longest(13))
