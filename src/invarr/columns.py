@@ -109,9 +109,12 @@ MAX_TABLE_N = 8
 # at n = 8, and the whole index 3.0 MB.
 _BRUHAT_CHUNK = 256
 # Words per pass of the weak recursion's term listing: 2048 words of S_8
-# have at most 38944 terms, so a pass's temporaries stay near 300 KB and
-# are reused from the heap; passes of 8192 words left the peak of an S8
-# ``counts`` sweep 8 MiB higher.
+# have at most 38944 terms, so a pass's temporaries stay near 300 KB;
+# passes of 8192 words left the peak of an S8 ``counts`` sweep 8 MiB
+# higher.  The temporaries come back from the heap only once glibc's
+# dynamic mmap and trim thresholds have grown past them; before that each
+# pass maps and faults in new pages (the cold S7 build took 689 minor
+# faults, and 292 with those thresholds set to 1 and 2 MiB).
 _WEAK_CHUNK = 2048
 # Words per pass of the gate count: 128 rows of fits of the 4140 distinct
 # lower-wall sets of S_8 are 2.1 MB as uint32.  Freed temporaries of 4.5 MB
@@ -162,12 +165,15 @@ def essential_cells(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0
     """
     m, n = words.shape
-    position = np.argsort(words, axis=1)  # position[:, v - 1]: where value v sits, from 0
-    index = np.arange(n)
+    index = np.arange(n, dtype=np.int8)
+    position = np.empty((m, n), dtype=np.int8)  # position[:, v - 1]: where value v sits, from 0
+    position[np.arange(m)[:, None], words - 1] = index
     diagram = (words[:, :, None] <= index) & (position[:, None, :] > index[:, None])
+    # a cell of D(v) stays unless (i + 1, j), the next row, or (i, j + 1),
+    # the previous column, is in D(v) too: a > b on bools is a and not b
     essential = diagram.copy()
-    essential[:, :-1] &= ~diagram[:, 1:]  # (i + 1, j) is the next row
-    essential[:, :, 1:] &= ~diagram[:, :, :-1]  # (i, j + 1) is the previous column
+    np.greater(essential[:, :-1], diagram[:, 1:], out=essential[:, :-1])
+    np.greater(essential[:, :, 1:], diagram[:, :, :-1], out=essential[:, :, 1:])
     return np.nonzero(essential.reshape(m, n * n))
 
 
@@ -683,11 +689,13 @@ def _bruhat_counts(table: GroupTable) -> np.ndarray:
     bit = np.empty(len(inv), dtype=np.int64)
     bit[by_length] = 64 * segments[sorted_inv] + np.arange(len(inv)) - starts[sorted_inv]
 
+    # dom laid out along the bit axis once; a padding bit holds n + 1, above
+    # every bound, so it is set in no bitset
+    laid = np.full((n * n, 64 * segments[-1]), n + 1, dtype=np.uint8)
+    laid[:, bit] = dom.T
     index = np.empty((n * n, n + 1, segments[-1]), dtype=np.uint64)
-    bits = np.zeros((n * n, 64 * segments[-1]), dtype=bool)
     for bound in range(n + 1):
-        bits[:, bit] = dom.T <= bound
-        index[:, bound] = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        index[:, bound] = np.packbits(laid <= bound, axis=1, bitorder="little").view(np.uint64)
     index = index.reshape(n * n * (n + 1), segments[-1])
 
     # the essential cells of each word as index rows, word by word

@@ -27,16 +27,16 @@ A sweep runs in the calling process and reads every field of every
 record, at every depth, from the whole-group columns of the cached
 table ``columns.group_table(n)``, each built by a recursion over the
 whole group (the ``columns`` module gives them).  ``stat_record``
-computes the same fields by the per-record routes.  Both hand a
-record's field values, in ``StatRecord`` order, to the one record
-assembly, ``_build_record``, which builds the record, a NamedTuple, by
-position.  ``StatRecord._fields`` is the one list of a record's fields:
-the sweep's whole-group fields begin with the same names in the same
-order, and the records, the JSON dict, the CSV header and the report
-writer all follow it.  ``oracle_checks`` runs two tables of comparisons:
-``COLUMN_ROUTES``, each column against the route or definition that
-checks it, and ``ROUTE_ORACLES``, each route against its definitional
-oracle.
+computes the same fields by the per-record routes.  Both hand one tuple
+of a record's field values, in ``StatRecord`` order, to the one record
+assembly, ``_build_record``, which makes the NamedTuple from it in C,
+with no Python frame per record.  ``StatRecord._fields`` is the one list
+of a record's fields: the sweep's whole-group fields begin with the same
+names in the same order, and the records, the JSON dict, the CSV header
+and the report writer all follow it.  ``oracle_checks`` runs two tables
+of comparisons: ``COLUMN_ROUTES``, each column against the route or
+definition that checks it, and ``ROUTE_ORACLES``, each route against its
+definitional oracle.
 
 The per-record routes and the regions read only the same table's
 words, masks, inversion counts, dominance counts and lower walls, which
@@ -56,8 +56,9 @@ not from the records: ``_EMIT_CHUNK`` ranks at a time, each field's
 cells are formatted for the whole chunk at once, by a formatter chosen
 once per field by its kind (ints and flags by lookup, words and codes as
 fixed-width digit rows, each polynomial column once per distinct row),
-set between constant separators in one object array, joined into one
-string and encoded.
+set between constant parts in one object array, joined into one string
+and encoded; an absent field's cell is part of the constant text around
+it.
 ``StatRecord.to_json_dict`` stays the definition of a record's JSON: the
 writer must reproduce ``json.dumps`` of the records' dicts byte for
 byte, and ``invarr stats`` and the violations, which are rare, go
@@ -200,6 +201,14 @@ class _Fields:
     ferrers: np.ndarray
 
     @cached_property
+    def largest_int(self) -> int:
+        """The largest value of the record fields that are one int per rank."""
+        columns = (getattr(self, name) for name in StatRecord._fields)
+        return max(
+            int(c.max()) for c in columns if c is not None and c.ndim == 1 and c.dtype != bool
+        )
+
+    @cached_property
     def re_eff(self) -> np.ndarray:
         """re where the region oracle ran, else ao (their equality is itself
         checked wherever the oracle ran)."""
@@ -237,7 +246,8 @@ def _sweep_fields(n: int, depth: str) -> _Fields:
     ``counts`` sweep reads no polynomial column."""
     table = group_table(n)  # enforces n <= 8
     # Bruhat first: built after the other columns, its multi-MB temporaries
-    # raise the peak of a cold S8 ``counts`` sweep from 94 to 105 MiB.
+    # raise the peak of a cold S8 ``counts`` sweep with its JSON from 81 to
+    # 88 MiB (NUMPY_MADVISE_HUGEPAGE=0).
     br = table.bruhat.sum(axis=1, dtype=np.int64)
     polys = dict.fromkeys(("weak_poly", "bruhat_poly", "product_poly", "distance_poly"))
     if depth != "counts":
@@ -265,7 +275,14 @@ def _sweep_fields(n: int, depth: str) -> _Fields:
 
 
 def _sweep_records(fields: _Fields) -> list[StatRecord]:
-    """The records of every rank of ``fields``, in rank order."""
+    """The records of every rank of ``fields``, in rank order: one tuple
+    of field values per rank, each handed to ``_build_record``.
+
+    The records share one int object per value, looked up in one object
+    array: ``tolist`` would make a new object for each int above 256,
+    4.6 MiB of them at S_8 against 1.5 MiB for the array.
+    """
+    ints = np.arange(fields.largest_int + 1).astype(object)
 
     def values(name: str) -> Iterable:
         column = getattr(fields, name)
@@ -275,9 +292,11 @@ def _sweep_records(fields: _Fields) -> list[StatRecord]:
             return QPolynomial.from_column(column)
         if column.ndim == 2:
             return zip(*column.T.tolist())
-        return column.tolist()
+        if column.dtype == bool:
+            return column.tolist()
+        return ints[column].tolist()
 
-    return list(map(_build_record, *map(values, StatRecord._fields)))
+    return list(map(_build_record, zip(*map(values, StatRecord._fields))))
 
 
 def _bulk_bruhat(word: Word, table: GroupTable, want_poly: bool):
@@ -288,16 +307,15 @@ def _bulk_bruhat(word: Word, table: GroupTable, want_poly: bool):
     return size, length_polynomial(table.inv[below])
 
 
-def _build_record(*fields) -> StatRecord:
-    """The record of the field values given in ``StatRecord`` order.
-
-    The one record assembly of sweeps and ``stat_record``; a named
-    function so that a profiler can wrap it and count one call per
-    record.  Records are NamedTuples built by position: a sweep builds
-    up to 8! records, and passing the 16 fields as keyword arguments
-    took five times as long per record (Python 3.11).
-    """
-    return StatRecord(*fields)
+# The record of one tuple of field values in ``StatRecord`` order: the one
+# record assembly of sweeps and ``stat_record``, a module attribute looked
+# up at each call so that a profiler can wrap it and count one call per
+# record.  It builds the NamedTuple from the tuple in C, with no Python
+# frame and no ``StatRecord.__new__``, so it does not check the field count
+# (``tests/test_verify.py`` does): a sweep builds up to 8! records, and a
+# named function calling ``StatRecord(*fields)`` took 1.8 times as long to
+# assemble them (0.56 against 0.31 us a record at S_7, Python 3.11).
+_build_record: Callable[[tuple], StatRecord] = partial(tuple.__new__, StatRecord)
 
 
 # The relations, as (name, shown, predicate over _Fields): the chain and
@@ -398,7 +416,7 @@ def stat_record(w: Permutation, depth: str = "counts") -> StatRecord:
     # No record field carries the Ferrers flag; the test stays because the
     # benchmark's self-tests count its two rook.ferrers calls per record.
     rook.is_right_justified_ferrers(rook.southwest_diagram(w))
-    return _build_record(
+    return _build_record((
         w.word,
         sum(code),
         code,
@@ -415,7 +433,7 @@ def stat_record(w: Permutation, depth: str = "counts") -> StatRecord:
         bruhat_poly,
         product_poly,
         distance_poly,
-    )
+    ))
 
 
 def sweep(n: int, depth: str = "counts", parallelism: int | None = None) -> SweepReport:
@@ -520,22 +538,20 @@ def _poly_cells(column: np.ndarray, format: str) -> tuple[np.ndarray, np.ndarray
 def _record_chunks(fields: _Fields, format: str) -> Iterator[bytes]:
     """The records of ``fields`` as encoded text, ``_EMIT_CHUNK`` ranks at a time.
 
-    A chunk is one object array of rows of separators and cells, each
-    field's cells taken for the whole chunk at once by a formatter chosen
-    once per field, by its kind, in ``StatRecord`` order: ints and flags
-    by lookup in their strings, lists as fixed-width digit rows, each
-    polynomial cell from the cells of its column's distinct rows, and an
-    absent field as its constant cell.  The chunk is joined into one
-    string.
+    A chunk is one object array of rows of constant text and cells, each
+    present field's cells taken for the whole chunk at once by a formatter
+    chosen once per field, by its kind, in ``StatRecord`` order: ints and
+    flags by lookup in their strings, lists as fixed-width digit rows, and
+    each polynomial cell from the cells of its column's distinct rows.  An
+    absent field's constant cell is merged with the separators around it
+    into one constant part (at depth ``counts``, 23 parts a record instead
+    of 33).  The chunk is joined into one string.
     """
     columns = {name: getattr(fields, name) for name in StatRecord._fields}
-    ints = [c for c in columns.values() if c is not None and c.ndim == 1 and c.dtype != bool]
-    numerals = np.array(list(map(str, range(max(int(c.max()) for c in ints) + 1))), dtype=object)
+    numerals = np.array(list(map(str, range(fields.largest_int + 1))), dtype=object)
     flag = np.array(_FLAG, dtype=object)
 
-    def formatter(name: str, column: np.ndarray | None) -> Callable[[slice], object]:
-        if column is None:
-            return lambda ranks: _ABSENT[format]
+    def formatter(name: str, column: np.ndarray) -> Callable[[slice], object]:
         if name.endswith("_poly"):
             text, index = _poly_cells(column, format)
             return lambda ranks: text[index[ranks]]
@@ -545,17 +561,23 @@ def _record_chunks(fields: _Fields, format: str) -> Iterator[bytes]:
             return lambda ranks: flag[column[ranks].view(np.uint8)]
         return lambda ranks: numerals[column[ranks]]
 
-    cells = [formatter(name, column) for name, column in columns.items()]
     separators = _SEPARATORS[format]
+    constants, cells = [separators[0]], []
+    for (name, column), separator in zip(columns.items(), separators[1:]):
+        if column is None:
+            constants[-1] += _ABSENT[format] + separator
+        else:
+            cells.append(formatter(name, column))
+            constants.append(separator)
     total = len(fields.inv)
     for lo in range(0, total, _EMIT_CHUNK):
         ranks = slice(lo, min(lo + _EMIT_CHUNK, total))
-        block = np.empty((ranks.stop - lo, len(separators) + len(cells)), dtype=object)
-        block[:, ::2] = separators
+        block = np.empty((ranks.stop - lo, len(constants) + len(cells)), dtype=object)
+        block[:, ::2] = constants
         for k, cell in enumerate(cells):
             block[:, 2 * k + 1] = cell(ranks)
         if format == "json" and ranks.stop == total:
-            block[-1, -1] = "}"
+            block[-1, -1] = block[-1, -1].removesuffix(", ")  # no ", " after the last record
         yield "".join(block.ravel().tolist()).encode("utf-8")
 
 
@@ -588,6 +610,11 @@ def emit_report(report: SweepReport, format: str = "json") -> bytes:
     report_bytes.write(head.encode("utf-8"))
     for chunk in _record_chunks(report.fields, format):
         report_bytes.write(chunk)
+        # freed before the next chunk is built, so that it cannot sit above
+        # the buffer and turn the buffer's next growth into a copy (that
+        # cost 1.1 MiB at the peak of a cold S8 counts JSON before the
+        # records shared their ints)
+        del chunk
     report_bytes.write(tail.encode("utf-8"))
     return report_bytes.getvalue()
 

@@ -22,8 +22,10 @@ from invarr.perm import (
     PATTERN_231,
     PATTERN_312,
     Permutation,
+    inverse,
     iter_words,
     lehmer_code,
+    unrank_lex,
 )
 from invarr.qpoly import QPolynomial
 
@@ -68,6 +70,47 @@ def test_bruhat_column_matches_the_full_dominance_compare_on_an_s8_sample():
         range(1, factorial(8) - 1), 400
     )
     _check_bruhat_rows(8, ranks)
+
+
+def _essential_set_by_definition(word: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The cells (i, j) of the Rothe diagram D(v) = {(i, j) : v_i > j,
+    v^-1(j) > i} of v = w0 w with neither (i + 1, j) nor (i, j + 1) in D(v)."""
+    n = len(word)
+    v = Permutation(tuple(n + 1 - a for a in word))
+    position = inverse(v).word
+    diagram = {
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if v.word[i - 1] > j and position[j - 1] > i
+    }
+    return {(i, j) for i, j in diagram if (i + 1, j) not in diagram and (i, j + 1) not in diagram}
+
+
+def _check_essential_cells(words: np.ndarray) -> None:
+    """essential_cells of ``words`` against the definition, word by word;
+    the dom column of cell (i, j) is (i - 1) n + n - j."""
+    n = words.shape[1]
+    rows, dom_columns = columns.essential_cells(words)
+    assert (np.diff(rows) >= 0).all()  # in row order
+    cells = [set() for _ in words]
+    for rank, column in zip(rows.tolist(), dom_columns.tolist()):
+        cells[rank].add((column // n + 1, n - column % n))
+    for word, found in zip(words.tolist(), cells):
+        assert found == _essential_set_by_definition(tuple(word)), word
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_essential_cells_match_the_rothe_diagram_on_all_of_s_n(n):
+    _check_essential_cells(group_table(n).words)
+
+
+def test_essential_cells_match_the_rothe_diagram_on_an_s8_sample():
+    # words of Python ints, as GroupTable.bruhat_below passes them
+    ranks = [0, factorial(8) - 1] + random.Random(S8_SAMPLE_SEED).sample(
+        range(1, factorial(8) - 1), 400
+    )
+    _check_essential_cells(np.array([unrank_lex(8, rank).word for rank in ranks]))
 
 
 def test_popcount64_matches_int_bit_count():

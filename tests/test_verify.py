@@ -116,6 +116,18 @@ class TestStatRecord:
             assert record.ao == record.rk == factorial(n)
             assert record.code == tuple(range(n - 1, -1, -1))
 
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_every_record_has_every_field(self, depth):
+        # _build_record builds a record from one tuple by tuple.__new__,
+        # which checks no field count, unlike StatRecord(*fields)
+        records = [r for n in range(1, 7) for r in verify.sweep(n, depth).records]
+        for word in ((1, 2, 3, 4, 5, 6, 7, 8), (3, 1, 4, 8, 5, 2, 7, 6), (8, 7, 6, 5, 4, 3, 2, 1)):
+            records.append(verify.stat_record(Permutation(word), depth))
+        for record in records:
+            assert type(record) is verify.StatRecord
+            assert len(record) == len(verify.StatRecord._fields)
+            assert record == verify.StatRecord(*record)
+
     def test_4231_is_tested_once_per_record(self, monkeypatch):
         original = perm.contains_pattern
         calls = []
