@@ -118,32 +118,53 @@ def _block_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, t
 
 
+@lru_cache(maxsize=MAX_AO_VERTICES)
+def _pair_subsets(n: int) -> np.ndarray:
+    """(C(n, 2), 2^n) bool: row s marks the vertex masks that hold both ends
+    of pair slot s, in the slot order of ``perm.inversion_mask`` (270 KB
+    at n = 12)."""
+    bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1 == 1
+    first, second = np.triu_indices(n, 1)  # the pairs in lexicographic order
+    table = bits[first] & bits[second]
+    table.setflags(write=False)  # every caller shares the cached table
+    return table
+
+
+@lru_cache(maxsize=MAX_AO_VERTICES)
+def _falling_factorials(n: int) -> np.ndarray:
+    """(n + 1, n + 1) int64: row j holds k(k-1)...(k-j+1), low degree first."""
+    falling = np.zeros((n + 1, n + 1), dtype=np.int64)
+    falling[0, 0] = 1
+    for j in range(n):
+        falling[j + 1, 1:] = falling[j, :-1]
+        falling[j + 1] -= j * falling[j]
+    falling.setflags(write=False)  # every caller shares the cached matrix
+    return falling
+
+
 def _chromatic(n: int, edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
     """Chromatic polynomial of the graph on vertices 1..n with ``edges``."""
-    subsets = np.arange(1 << n, dtype=np.int32)
-    edge_masks = np.array([(1 << a - 1) | (1 << b - 1) for a, b in edges], dtype=np.int32)
-    independent = ~((subsets[:, None] & edge_masks) == edge_masks).any(axis=1)
+    slots = [(a - 1) * (2 * n - a) // 2 + b - a - 1 for a, b in edges]
+    independent = ~_pair_subsets(n)[slots].any(axis=0)
     x, t = _block_pairs(n)
-    keep = independent[t]
-    x = x[keep]
-    rest = x ^ t[keep]
+    keep = np.take(independent, t)
+    # the kept pairs as intp, which np.take and np.bincount would otherwise
+    # convert them to in each of the n passes
+    x = np.compress(keep, x).astype(np.intp)
+    rest = x ^ np.compress(keep, t)
     # g holds g_j over all subsets, from g_0 = [X empty]; a_j = g_j(all).
     # Every g_j(X) is at most Bell(12) = 4213597 < 2^53, so the float64
     # weights of bincount add exactly.
     g = np.zeros(1 << n)
     g[0] = 1.0
-    counts = [int(g[-1])]
-    for _ in range(n):
-        g = np.bincount(x, weights=g[rest], minlength=1 << n)
-        counts.append(int(g[-1]))
-
-    coeffs = [0] * (n + 1)
-    falling = [1]  # k(k-1)...(k-j+1), low degree first
-    for j, a in enumerate(counts):
-        for d, c in enumerate(falling):
-            coeffs[d] += a * c
-        falling = [s - j * f for s, f in zip([0, *falling], [*falling, 0])]
-    return tuple(checked_int64(c) for c in coeffs)
+    counts = np.empty(n + 1, dtype=np.int64)
+    counts[0] = g[-1]
+    for j in range(1, n + 1):
+        g = np.bincount(x, weights=np.take(g, rest), minlength=1 << n)
+        counts[j] = g[-1]
+    # a_j <= Bell(12) and the coefficients of the falling factorials are at
+    # most 12! in size, so every term of the product is below 2.1e15
+    return tuple((counts @ _falling_factorials(n)).tolist())
 
 
 # Chromatic polynomials by (n, edges), one entry per distinct graph,

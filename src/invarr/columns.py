@@ -86,7 +86,6 @@ dominance compare, ``verify.COLUMN_ROUTES``'s row
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from math import factorial
@@ -100,7 +99,6 @@ from .perm import (
     WEAK_EQUALITY_PATTERNS,
     Permutation,
     Word,
-    popcounts,
 )
 
 # Largest n of the whole-group table: 8! rows, C(8, 2) = 28 mask bits.
@@ -182,10 +180,11 @@ class GroupTable:
     """Every word of S_n and its statistics, row k for lexicographic rank k.
 
     ``masks`` are uint32 over the slots of ``perm.inversion_mask`` (C(8, 2) =
-    28 bits at most).  ``dom`` holds the Bruhat dominance counts:
-    0-based column i * n + j counts the a <= i + 1 with u_a > j, and
-    u <= w exactly when dom[u] <= dom[w] entrywise.  It is stored
-    column-major, each column one contiguous run, because
+    28 bits at most, the width ``perm.popcounts`` counts).  ``dom`` holds
+    the Bruhat dominance counts: 0-based column i * n + j counts the
+    a <= i + 1 with u_a > j, and u <= w exactly when dom[u] <= dom[w]
+    entrywise.  It is stored column-major, each column one contiguous
+    run, because
     ``bruhat_below`` reads only the few columns of Fulton's essential
     set of w0 w (``essential_cells``).
     """
@@ -213,17 +212,32 @@ class GroupTable:
 
     @_array
     def masks(self) -> np.ndarray:
-        """(n!,) uint32 inversion masks."""
-        words = self.words
-        masks = np.zeros(len(words), dtype=np.uint32)
-        for slot, (i, j) in enumerate(itertools.combinations(range(self.n), 2)):
-            masks |= (words[:, i] > words[:, j]).astype(np.uint32) << np.uint32(slot)
+        """(n!,) uint32 inversion masks, built by first-letter blocks as ``words`` is.
+
+        In block f of S_k the pairs of the tail take the slots of S_(k-1)
+        shifted up by k - 1, and the first-position pair (0, j) takes slot
+        j - 1: it is inverted where the tail holds a value below f there.
+        """
+        masks = np.zeros(1, dtype=np.uint32)
+        for m, position in _smaller_inverses(self.words):
+            bit = np.uint32(1) << np.arange(m, dtype=np.uint32)
+            blocks = np.empty((m + 1, len(masks)), dtype=np.uint32)
+            shifted = np.left_shift(masks, np.uint32(m), out=blocks[0])
+            below = np.zeros(len(masks), dtype=np.uint32)  # the positions of the values below f
+            for v in range(m):  # block f = v + 2: the values 1..v + 1 lie below f
+                below |= bit[position[:, v]]
+                np.bitwise_or(shifted, below, out=blocks[v + 1])
+            masks = blocks.reshape(-1)
         return masks
 
     @_array
     def inv(self) -> np.ndarray:
-        """(n!,) uint8 inversion counts."""
-        return popcounts(self.masks)
+        """(n!,) uint8 inversion counts, by first-letter blocks: the first
+        letter f of a word of S_k adds f - 1 inversions to its tail's."""
+        inv = np.zeros(1, dtype=np.uint8)
+        for k in range(2, self.n + 1):
+            inv = (inv + np.arange(k, dtype=np.uint8)[:, None]).reshape(-1)
+        return inv
 
     @_array
     def dom(self) -> np.ndarray:
@@ -292,8 +306,20 @@ class GroupTable:
 
     @_array
     def product(self) -> np.ndarray:
-        """(n!, C(n, 2) + 1) uint16: the coefficients of prod [c_i + 1]_q."""
-        return _product_polynomials(self.code).astype(np.uint16)
+        """(n!, C(n, 2) + 1) uint16: the coefficients of prod [c_i + 1]_q.
+
+        The product depends only on the multiset of the code.  Sorted in
+        descending order, the codes are the partitions inside the
+        staircase, C_n of them (1430 at n = 8): each is computed once and
+        gathered back.  The sort is descending so that the code's last
+        entry, which ``_product_polynomials`` skips, stays 0.
+        """
+        partitions = np.sort(self.code, axis=1)[:, ::-1]
+        # one base-8 int64 per row: every code entry is below n <= 8
+        keys = np.einsum("ij,j->i", partitions, 8 ** np.arange(self.n, dtype=np.int64))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        products = _product_polynomials(partitions[first]).astype(np.uint16)
+        return np.take(products, inverse, axis=0)
 
     @_array
     def distance(self) -> np.ndarray:
@@ -307,11 +333,26 @@ class GroupTable:
 
     @_array
     def lower(self) -> np.ndarray:
-        """(n!,) uint32 lower walls L(u): the slots (i, j), i < j, with u_i = u_j + 1."""
-        words = self.words
-        lower = np.zeros(len(words), dtype=np.uint32)
-        for slot, (i, j) in enumerate(itertools.combinations(range(self.n), 2)):
-            lower |= (words[:, i] == words[:, j] + 1).astype(np.uint32) << np.uint32(slot)
+        """(n!,) uint32 lower walls L(u): the slots (i, j), i < j, with u_i = u_j + 1.
+
+        Built by first-letter blocks as ``masks`` is.  In block f of S_k the
+        tail's walls shift up by k - 1, except the wall between the tail's
+        values f and f - 1, which the raise of f breaks; the first letter
+        gains the wall to the tail's f - 1, whose position is its slot.
+        """
+        lower = np.zeros(1, dtype=np.uint32)
+        for m, position in _smaller_inverses(self.words):
+            bit = np.uint32(1) << np.arange(m * (m + 1) // 2, dtype=np.uint32)
+            pair_bit = np.zeros((m, m), dtype=np.uint32)  # each tail pair's bit, both ways
+            pair_bit[np.triu_indices(m, 1)] = bit[m:]
+            pair_bit |= pair_bit.T
+            blocks = np.empty((m + 1, len(lower)), dtype=np.uint32)
+            shifted = np.left_shift(lower, np.uint32(m), out=blocks[0])
+            for v in range(m):  # block f = v + 2: its wall to the tail's v + 1
+                block = np.bitwise_or(bit[position[:, v]], shifted, out=blocks[v + 1])
+                if v + 1 < m:
+                    block &= ~pair_bit[position[:, v + 1], position[:, v]]
+            lower = blocks.reshape(-1)
         return lower
 
     def weak_below(self, target_mask: int) -> np.ndarray:
@@ -346,7 +387,7 @@ class GroupTable:
         """I(u) & ``target_mask`` for the gates u, those with L(u) inside
         ``target_mask``: one mask per region, in row order."""
         target = np.uint32(target_mask)
-        return self.masks[(self.lower & ~target) == 0] & target
+        return np.compress((self.lower & ~target) == 0, self.masks) & target
 
     def avoids(self, patterns: tuple[Permutation, ...]) -> np.ndarray:
         """Rows containing none of ``patterns`` (each one of ``PATTERNS``)."""
@@ -354,9 +395,25 @@ class GroupTable:
         return ~self.contains[rows].any(axis=0)
 
 
+def _smaller_inverses(words: np.ndarray):
+    """(m, position) for m = 1..n - 1, from the words of S_n:
+    position[:, v - 1] is where each word of S_m, in lexicographic order,
+    holds v.  The last m! words of S_n begin n, n - 1, ..., m + 1 and end
+    in the words of S_m."""
+    n = words.shape[1]
+    for m in range(1, n):
+        tail = words[len(words) - factorial(m) :, n - m :]
+        position = np.empty_like(tail)
+        position[np.arange(len(tail))[:, None], tail - 1] = np.arange(m, dtype=np.int8)
+        yield m, position
+
+
 @lru_cache(maxsize=MAX_TABLE_N)
 def group_table(n: int) -> GroupTable:
     """The cached table of S_n, n <= 8; its arrays are built on first use.
+
+    A raised cap must still keep C(n, 2) <= 28 pair slots, the masks that
+    ``perm.popcounts`` counts.
 
     >>> table = group_table(3)
     >>> table.words[5].tolist(), int(table.masks[5]), int(table.inv[5])
@@ -364,8 +421,8 @@ def group_table(n: int) -> GroupTable:
     """
     if not 1 <= n <= MAX_TABLE_N:
         raise ValueError(f"whole-group tables support n <= {MAX_TABLE_N}, got n={n}")
-    if n * (n - 1) // 2 > 32:
-        raise ValueError(f"uint32 inversion masks hold C(n, 2) <= 32 pair slots, got n={n}")
+    if n * (n - 1) // 2 > 28:
+        raise ValueError(f"perm.popcounts counts C(n, 2) <= 28 pair slots, got n={n}")
     return GroupTable(n)
 
 

@@ -167,14 +167,14 @@ def _table_interval(
 
     Rows are in lexicographic order, so ``elements`` come out sorted.
     """
+    elements = None
+    if with_elements:
+        words = np.compress(below, table.words, axis=0).tolist()
+        elements = tuple(Permutation(tuple(u)) for u in words)
     return IntervalSummary(
         size=int(np.count_nonzero(below)),
-        poincare=length_polynomial(table.inv[below]),
-        elements=(
-            tuple(Permutation(tuple(u)) for u in table.words[below].tolist())
-            if with_elements
-            else None
-        ),
+        poincare=length_polynomial(np.compress(below, table.inv)),
+        elements=elements,
     )
 
 

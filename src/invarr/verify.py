@@ -304,7 +304,7 @@ def _bulk_bruhat(word: Word, table: GroupTable, want_poly: bool):
     size = int(np.count_nonzero(below))
     if not want_poly:
         return size, None
-    return size, length_polynomial(table.inv[below])
+    return size, length_polynomial(np.compress(below, table.inv))
 
 
 # The record of one tuple of field values in ``StatRecord`` order: the one

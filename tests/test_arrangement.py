@@ -1,5 +1,6 @@
 """Unit tests for inversion graphs, chromatic counts, and region masks."""
 
+import itertools
 import random
 from math import factorial
 
@@ -75,6 +76,18 @@ class TestChromatic:
         )
         # two disjoint edges plus an isolated vertex: k^3 (k-1)^2
         assert chromatic_polynomial(_graph(5, (1, 2), (3, 4))) == (0, 0, 0, 1, -2, 1)
+
+    def test_widest_products_at_twelve_vertices(self):
+        # the edgeless graph gives k^12, and K12 the falling factorial
+        # k(k-1)...(k-11), whose coefficients reach 12! in size
+        assert chromatic_polynomial(_graph(12)) == (0,) * 12 + (1,)
+        falling = [1]
+        for j in range(12):
+            falling = [s - j * f for s, f in zip([0, *falling], [*falling, 0])]
+        complete = _graph(12, *itertools.combinations(range(1, 13), 2))
+        assert chromatic_polynomial(complete) == tuple(falling)
+        assert falling[1] == -factorial(11)
+        assert count_acyclic_orientations(complete) == factorial(12)
 
     def test_proper_colorings_by_direct_count(self):
         graphs = [

@@ -164,6 +164,33 @@ def test_building_the_s8_words_peaks_below_twice_their_bytes():
 
 
 @pytest.mark.parametrize("n", range(1, 9))
+def test_block_built_masks_counts_and_lower_walls_match_the_slot_loops(n):
+    # the definitions, one pair slot at a time in lexicographic order, and
+    # the inversion counts as the masks' bit counts
+    table = group_table(n)
+    words = table.words
+    masks = np.zeros(len(words), dtype=np.uint32)
+    lower = np.zeros(len(words), dtype=np.uint32)
+    for slot, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        masks |= (words[:, i] > words[:, j]).astype(np.uint32) << np.uint32(slot)
+        lower |= (words[:, i] == words[:, j] + 1).astype(np.uint32) << np.uint32(slot)
+    for built, expected in ((table.masks, masks), (table.lower, lower)):
+        assert built.dtype == np.uint32 and not built.flags.writeable
+        assert np.array_equal(built, expected)
+    assert table.inv.dtype == np.uint8
+    assert table.inv.tolist() == [m.bit_count() for m in masks.tolist()]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_product_column_by_partition_matches_every_code(n):
+    # each code's own product polynomial, without the partition gather
+    table = group_table(n)
+    expected = columns._product_polynomials(table.code)
+    assert table.product.dtype == np.uint16
+    assert np.array_equal(table.product, expected)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_deletion_ranks_are_the_ranks_of_the_deleted_words(n):
     table = group_table(n)
     for d in range(n):

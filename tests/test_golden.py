@@ -118,6 +118,7 @@ S8_REPORT_SHA256 = {
     ("with_region_oracle", "csv"): "9a59fe0d18e64a0beb371a97c6ddd12eb3b26fb70630c5dd39024b845a25a2c6",
 }
 STATS_87654321_JSON_SHA256 = "4e35e22dfba6a460ba116d3c2f043402e642907526fb728cd359cf5daffbc881"
+STATS_12345678_JSON_SHA256 = "0fb2eece88335ee00d49a275c0569c99233de66462048a91e89185d70002b028"
 ORACLE_CHECK_7_JSON_SHA256 = "90dbf5f571225e40f7eb54e259d3659a8e6672646ebec2e9a770c03b0c282e73"
 
 
@@ -159,6 +160,12 @@ def _cli_stdout(capsys, argv) -> bytes:
 def test_cli_stats_json_bytes(capsys):
     out = _cli_stdout(capsys, ["stats", "87654321", "--format", "json"])
     assert _sha256(out) == STATS_87654321_JSON_SHA256
+
+
+def test_cli_stats_json_bytes_of_the_identity(capsys):
+    # the chromatic route's worst case at n = 8: no edge, every block pair kept
+    out = _cli_stdout(capsys, ["stats", "12345678", "--format", "json"])
+    assert _sha256(out) == STATS_12345678_JSON_SHA256
 
 
 def test_cli_oracle_check_json_bytes(capsys, monkeypatch, oracle_checks_at_caps):

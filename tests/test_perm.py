@@ -303,10 +303,11 @@ class TestGroupTable:
         with pytest.raises(ValueError, match="n <= 8"):
             group_table(9)
 
-    def test_uint32_masks_refuse_more_than_32_pairs(self, monkeypatch):
-        # C(9, 2) = 36 slots would wrap; a raised cap must fail before building
+    def test_masks_refuse_more_than_28_pairs(self, monkeypatch):
+        # C(9, 2) = 36 slots exceed popcounts' two 14-bit halves; a raised
+        # cap must fail before building
         monkeypatch.setattr(columns, "MAX_TABLE_N", 9)
-        with pytest.raises(ValueError, match="32 pair slots"):
+        with pytest.raises(ValueError, match="28 pair slots"):
             group_table.__wrapped__(9)
 
     def test_popcount_table_is_a_read_only_uint8_bit_count(self):
@@ -316,6 +317,14 @@ class TestGroupTable:
         assert POPCOUNT_16.tolist() == [v.bit_count() for v in range(1 << 16)]
         with pytest.raises(ValueError, match="read-only"):
             POPCOUNT_16[0] = 1
+
+    def test_popcounts_reads_28_bits_and_refuses_more(self):
+        masks = [0, *(1 << b for b in range(28)), (1 << 28) - 1]
+        counts = popcounts(np.array(masks, dtype=np.uint32))
+        assert counts.dtype == np.uint8
+        assert counts.tolist() == [0, *[1] * 28, 28]
+        with pytest.raises(IndexError):
+            popcounts(np.array([1 << 28], dtype=np.uint32))
 
     def test_needs_no_numpy2_popcount(self, monkeypatch):
         # pyproject allows numpy>=1.24, which has no np.bitwise_count

@@ -5,7 +5,9 @@ single-word route: wk and the weak Poincare polynomial from the weak
 BFS, rk from the Ryser permanent, ao from the chromatic polynomial, and
 the pattern flags from backtracking, checked here against subsequence
 enumeration.  Hypothesis draws the words, derandomized so that every
-run checks the same ones.
+run checks the same ones.  The acyclic orientations of any simple graph
+of up to 12 vertices, not only of inversion graphs, are checked against
+orientation enumeration the same way.
 """
 
 import itertools
@@ -16,7 +18,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from invarr.arrangement import count_acyclic_orientations, inversion_graph  # noqa: E402
+from invarr.arrangement import (  # noqa: E402
+    MAX_AO_VERTICES,
+    MAX_BRUTE_EDGES,
+    InversionGraph,
+    count_acyclic_orientations,
+    count_acyclic_orientations_by_enumeration,
+    inversion_graph,
+)
 from invarr.columns import PATTERNS  # noqa: E402
 from invarr.orders import MAX_WEAK_STATES, product_q_formula, weak_interval  # noqa: E402
 from invarr.perm import (  # noqa: E402
@@ -117,3 +126,19 @@ class TestPatternsPastTheGroupTable:
 
         check()
         assert seen == {False, True}
+
+
+@st.composite
+def simple_graphs(draw) -> InversionGraph:
+    """A simple graph on 1..12 vertices with at most 16 edges."""
+    n = draw(st.integers(1, MAX_AO_VERTICES))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    m = draw(st.integers(0, min(len(pairs), MAX_BRUTE_EDGES)))
+    edges = draw(st.permutations(pairs))[:m]
+    return InversionGraph(n, frozenset(edges))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(simple_graphs())
+def test_acyclic_orientations_of_any_graph_match_enumeration(g):
+    assert count_acyclic_orientations(g) == count_acyclic_orientations_by_enumeration(g)
