@@ -52,6 +52,8 @@ _POINCARE = {
     "product": orders.product_q_formula,
     "distance": arrangement.distance_enumerator,
 }
+# The size of the full S_8 report in each format, from counts to full depth.
+_S8_REPORT_MIB = {"json": "11.8-20.5", "csv": "3.2-10.5"}
 
 
 def _cmd_interval(args: argparse.Namespace) -> int:
@@ -79,8 +81,8 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.n >= 8 and not args.long:
         print(
-            "error: a full sweep of S_8 writes 11.8-20.5 MiB of JSON; "
-            "pass --long to confirm",
+            f"error: a full sweep of S_8 writes {_S8_REPORT_MIB[args.format]} MiB of "
+            f"{args.format.upper()}; pass --long to confirm",
             file=sys.stderr,
         )
         return 2

@@ -66,9 +66,9 @@ those of w on the cells of Fulton's essential set of w0 w (Duke Math.
 J. 65, 1992), which ``essential_cells`` finds for both.  Each (dominance
 column, bound) pair becomes one packed bitset over S_n, the bit axis
 ordered by length, and a row of length counts is the AND of the bitsets
-of its essential cells, bit-counted word by word and summed one length
-segment at a time.  Its independent check is the full entrywise
-dominance compare, ``verify.COLUMN_ROUTES``'s row
+of its essential cells, bit-counted word by word by ``perm.popcounts``
+and summed one length segment at a time.  Its independent check is the
+full entrywise dominance compare, ``verify.COLUMN_ROUTES``'s row
 ``bruhat_column_vs_dominance_compare``.
 
 >>> table = group_table(3)
@@ -99,6 +99,7 @@ from .perm import (
     WEAK_EQUALITY_PATTERNS,
     Permutation,
     Word,
+    popcounts,
 )
 
 # Largest n of the whole-group table: 8! rows, C(8, 2) = 28 mask bits.
@@ -180,7 +181,7 @@ class GroupTable:
     """Every word of S_n and its statistics, row k for lexicographic rank k.
 
     ``masks`` are uint32 over the slots of ``perm.inversion_mask`` (C(8, 2) =
-    28 bits at most, the width ``perm.popcounts`` counts).  ``dom`` holds
+    28 of their 32 bits at most).  ``dom`` holds
     the Bruhat dominance counts: 0-based column i * n + j counts the
     a <= i + 1 with u_a > j, and u <= w exactly when dom[u] <= dom[w]
     entrywise.  It is stored column-major, each column one contiguous
@@ -355,10 +356,6 @@ class GroupTable:
             lower = blocks.reshape(-1)
         return lower
 
-    def weak_below(self, target_mask: int) -> np.ndarray:
-        """Rows u with I(u) inside ``target_mask``: u <= w in left weak order."""
-        return (self.masks & ~np.uint32(target_mask)) == 0
-
     def bruhat_below(self, word: Word) -> np.ndarray:
         """Rows u <= ``word`` in Bruhat order: dom[u] at most the word's own
         dominance counts on the columns of ``essential_cells``.
@@ -376,18 +373,6 @@ class GroupTable:
             # short word, which numpy would only slow down
             below &= self.dom[:, column] <= sum(v > j for v in word[: i + 1])
         return below
-
-    def region_signs(self, target_mask: int) -> np.ndarray:
-        """The distinct restrictions of the rows' inversion sets to ``target_mask``, sorted."""
-        # sort and drop repeats: np.unique is several times slower here
-        restricted = np.sort(self.masks & np.uint32(target_mask))
-        return restricted[np.concatenate(([True], restricted[1:] != restricted[:-1]))]
-
-    def gate_signs(self, target_mask: int) -> np.ndarray:
-        """I(u) & ``target_mask`` for the gates u, those with L(u) inside
-        ``target_mask``: one mask per region, in row order."""
-        target = np.uint32(target_mask)
-        return np.compress((self.lower & ~target) == 0, self.masks) & target
 
     def avoids(self, patterns: tuple[Permutation, ...]) -> np.ndarray:
         """Rows containing none of ``patterns`` (each one of ``PATTERNS``)."""
@@ -412,8 +397,8 @@ def _smaller_inverses(words: np.ndarray):
 def group_table(n: int) -> GroupTable:
     """The cached table of S_n, n <= 8; its arrays are built on first use.
 
-    A raised cap must still keep C(n, 2) <= 28 pair slots, the masks that
-    ``perm.popcounts`` counts.
+    A raised cap must still keep C(n, 2) <= 32 pair slots, the bits of
+    the uint32 masks.
 
     >>> table = group_table(3)
     >>> table.words[5].tolist(), int(table.masks[5]), int(table.inv[5])
@@ -421,8 +406,8 @@ def group_table(n: int) -> GroupTable:
     """
     if not 1 <= n <= MAX_TABLE_N:
         raise ValueError(f"whole-group tables support n <= {MAX_TABLE_N}, got n={n}")
-    if n * (n - 1) // 2 > 28:
-        raise ValueError(f"perm.popcounts counts C(n, 2) <= 28 pair slots, got n={n}")
+    if n * (n - 1) // 2 > 32:
+        raise ValueError(f"uint32 masks hold C(n, 2) <= 32 pair slots, got n={n}")
     return GroupTable(n)
 
 
@@ -732,7 +717,7 @@ def _bruhat_counts(table: GroupTable) -> np.ndarray:
     c (n + 1) + b holds {u : dom[u, c] <= b} as packed bits, the bit axis
     sorted by length with each length class padded to whole 64-bit
     words, so a row of counts is the AND of its cells' bitsets,
-    bit-counted one 64-bit word at a time (``_popcount64``) and summed
+    bit-counted one 64-bit word at a time (``perm.popcounts``) and summed
     segment by segment.  Only the segments of lengths up to inv(w) can
     hold a u <= w.  w0, whose essential set is empty, lies above every
     word.
@@ -774,38 +759,6 @@ def _bruhat_counts(table: GroupTable) -> np.ndarray:
             below = index[cell[:, 0], : segments[top]]
             for t in range(1, size):
                 below &= index[cell[:, t], : segments[top]]
-            counts[rows, :top] = np.add.reduceat(_popcount64(below), segments[:top], axis=1)
+            counts[rows, :top] = np.add.reduceat(popcounts(below), segments[:top], axis=1)
     return counts
 
-
-# The masks and shifts of the SWAR bit count, as uint64 scalars: NumPy 1.x
-# turns uint64 with a Python int into float64.
-_M1, _M2, _M4, _H01 = map(
-    np.uint64, (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
-)
-_S1, _S2, _S4, _S56 = map(np.uint64, (1, 2, 4, 56))
-
-
-def _popcount64(words: np.ndarray) -> np.ndarray:
-    """The bit count of each uint64 of ``words``, written over ``words``.
-
-    The SWAR count (Warren, *Hacker's Delight*, section 5-1): bit pairs,
-    then nibbles, then bytes summed by one multiplication, with one
-    temporary of the size of ``words``; ``np.bitwise_count`` is NumPy 2 only.
-
-    >>> _popcount64(np.array([0, 1, 2**64 - 1, 0xF0F0], dtype=np.uint64)).tolist()
-    [0, 1, 64, 8]
-    """
-    half = words >> _S1
-    half &= _M1
-    words -= half
-    np.right_shift(words, _S2, out=half)
-    half &= _M2
-    words &= _M2
-    words += half
-    np.right_shift(words, _S4, out=half)
-    words += half
-    words &= _M4
-    words *= _H01
-    words >>= _S56
-    return words

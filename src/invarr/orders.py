@@ -185,9 +185,8 @@ def weak_interval_by_filter(w: Permutation, with_elements: bool = False) -> Inte
     1 + q + 2q^2 + 2q^3 + q^4
     """
     table = group_table(w.n)
-    return _table_interval(
-        table, table.weak_below(inversion_mask(w.word)), with_elements
-    )
+    below = (table.masks & ~np.uint32(inversion_mask(w.word))) == 0
+    return _table_interval(table, below, with_elements)
 
 
 def bruhat_interval(w: Permutation, with_elements: bool = False) -> IntervalSummary:

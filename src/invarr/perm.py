@@ -48,7 +48,8 @@ def _bit_counts(bits: int) -> np.ndarray:
     return table
 
 
-# Bit counts of the 16-bit values: np.bitwise_count is NumPy 2 only.
+# Bit counts of the 16-bit values, for lookups of 16 bits or fewer, where a
+# table beats ``popcounts``: np.bitwise_count is NumPy 2 only.
 POPCOUNT_16 = _bit_counts(16)
 # code_product of the longest element is n!; 20! < 2^63 <= 21!.
 MAX_CODE_PRODUCT_N = 20
@@ -315,18 +316,46 @@ def length_polynomial(lengths) -> QPolynomial:
     return QPolynomial(tuple(np.bincount(lengths).tolist()))
 
 
-# The 14-bit head of POPCOUNT_16, indexed by the two 14-bit halves of a
-# mask, so that a mask of more than 28 bits, C(8, 2), indexes past its end.
-_POPCOUNT_14 = POPCOUNT_16[: 1 << 14]
+# The masks and shifts of the SWAR bit count, as scalars of each mask
+# dtype: NumPy 1.x turns uint64 with a Python int into float64.  With
+# ones = 2^bits - 1, ones // 3, ones // 5, ones // 17 and ones // 255 are
+# 0x5555..., 0x3333..., 0x0F0F... and 0x0101...; bits - 8 moves the top
+# byte of the final product down.
+_SWAR = {
+    np.dtype(dtype): tuple(
+        map(dtype, (ones // 3, ones // 5, ones // 17, ones // 255, 1, 2, 4, bits - 8))
+    )
+    for dtype, bits, ones in ((np.uint32, 32, 2**32 - 1), (np.uint64, 64, 2**64 - 1))
+}
 
 
 def popcounts(masks: np.ndarray) -> np.ndarray:
-    """Bit counts of uint32 ``masks`` below 2^28 as uint8, by two 14-bit
-    table lookups; a wider mask raises ``IndexError``.  ``np.take`` reads
-    uint32 indices 2.3 times as fast as fancy indexing does at n = 8.
+    """The bit count of each uint32 or uint64 of ``masks``, written over
+    ``masks``; any other dtype raises ``ValueError``.
 
-    >>> popcounts(np.array([0, 7, 2**28 - 1], dtype=np.uint32)).tolist()
-    [0, 3, 28]
+    The SWAR count (Warren, *Hacker's Delight*, section 5-1): bit pairs,
+    then nibbles, then bytes summed by one multiplication, with one
+    temporary of the size of ``masks``; ``np.bitwise_count`` is NumPy 2 only.
+
+    >>> popcounts(np.array([0, 7, 2**32 - 1], dtype=np.uint32)).tolist()
+    [0, 3, 32]
+    >>> popcounts(np.array([0, 1, 2**64 - 1, 0xF0F0], dtype=np.uint64)).tolist()
+    [0, 1, 64, 8]
     """
-    return np.take(_POPCOUNT_14, masks & 0x3FFF) + np.take(_POPCOUNT_14, masks >> 14)
-
+    try:
+        m1, m2, m4, h01, s1, s2, s4, top = _SWAR[masks.dtype]
+    except KeyError:
+        raise ValueError(f"popcounts counts uint32 or uint64 masks, got {masks.dtype}") from None
+    half = masks >> s1
+    half &= m1
+    masks -= half
+    np.right_shift(masks, s2, out=half)
+    half &= m2
+    masks &= m2
+    masks += half
+    np.right_shift(masks, s4, out=half)
+    masks += half
+    masks &= m4
+    masks *= h01
+    masks >>= top
+    return masks

@@ -33,6 +33,7 @@ from invarr.perm import (
 )
 from invarr.qpoly import QPolynomial
 from invarr.rook import rook_count
+from invarr.verify import stat_record
 
 W25134 = Permutation((2, 5, 1, 3, 4))
 
@@ -279,6 +280,19 @@ class TestDistanceEnumerator:
             assert poly(1) == rs.size
             assert poly.degree == inversion_count(w)
             assert poly.coeffs[0] == 1
+
+    def test_distance_of_regions_leaves_its_masks_unchanged(self):
+        # popcounts writes over its argument, so distance_of_regions must
+        # count a copy: the masks are still the regions afterwards
+        w41382657 = Permutation((4, 1, 3, 8, 2, 6, 5, 7))
+        assert not avoids_all(w41382657, (Permutation((2, 3, 1)),))
+        for w in (Permutation.longest(8), w41382657):
+            masks = regions(w)
+            before = masks.copy()
+            poly = distance_of_regions(masks)
+            assert np.array_equal(masks, before), w
+            assert distance_of_regions(masks) == poly == distance_enumerator(w)
+            assert stat_record(w, "with_region_oracle").re == regions(w).size
 
     def test_longest_element_matches_weak_poincare(self):
         for n in range(1, 7):

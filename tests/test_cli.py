@@ -231,11 +231,21 @@ class TestSweep:
             assert f"invalid choice: {n}" in err
         assert target.read_bytes() == b"keep"
 
-    def test_n8_requires_long_flag(self, capsys):
+    def test_n8_requires_long_flag(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "sweep", "--n", "8")
         assert code == 2
         assert out == ""
         assert "--long" in err
+        # the refusal quotes the report size of the format asked for
+        target = tmp_path / "existing"
+        target.write_bytes(b"keep")
+        for fmt, size in (("json", "11.8-20.5 MiB of JSON"), ("csv", "3.2-10.5 MiB of CSV")):
+            code, out, err = run_cli(
+                capsys, "sweep", "--n", "8", "--format", fmt, "--output", str(target)
+            )
+            assert code == 2 and out == ""
+            assert size in err and "--long" in err
+        assert target.read_bytes() == b"keep"
 
     def test_violations_exit_1(self, capsys, monkeypatch):
         fake = dataclasses.replace(

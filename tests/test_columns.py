@@ -113,17 +113,6 @@ def test_essential_cells_match_the_rothe_diagram_on_an_s8_sample():
     _check_essential_cells(np.array([unrank_lex(8, rank).word for rank in ranks]))
 
 
-def test_popcount64_matches_int_bit_count():
-    # the Bruhat column's bit count; a Python int among its masks or shifts
-    # would turn the words into float64 on NumPy 1.x
-    rng = np.random.default_rng(2206)
-    random_words = np.frombuffer(rng.bytes(8 * 4096), dtype=np.uint64)
-    words = np.concatenate((np.array([0, 2**64 - 1], dtype=np.uint64), random_words))
-    counts = columns._popcount64(words.copy())
-    assert counts.dtype == np.uint64
-    assert counts.tolist() == [word.bit_count() for word in words.tolist()]
-
-
 def test_s8_catalan_avoiders_and_rk_equals_ao():
     table = group_table(8)
     avoids_231 = table.avoids((PATTERN_231,))

@@ -304,10 +304,10 @@ class TestGroupTable:
             group_table(9)
 
     def test_masks_refuse_more_than_28_pairs(self, monkeypatch):
-        # C(9, 2) = 36 slots exceed popcounts' two 14-bit halves; a raised
+        # C(9, 2) = 36 slots exceed the 32 bits of a uint32 mask; a raised
         # cap must fail before building
         monkeypatch.setattr(columns, "MAX_TABLE_N", 9)
-        with pytest.raises(ValueError, match="28 pair slots"):
+        with pytest.raises(ValueError, match="32 pair slots"):
             group_table.__wrapped__(9)
 
     def test_popcount_table_is_a_read_only_uint8_bit_count(self):
@@ -318,13 +318,27 @@ class TestGroupTable:
         with pytest.raises(ValueError, match="read-only"):
             POPCOUNT_16[0] = 1
 
-    def test_popcounts_reads_28_bits_and_refuses_more(self):
-        masks = [0, *(1 << b for b in range(28)), (1 << 28) - 1]
-        counts = popcounts(np.array(masks, dtype=np.uint32))
-        assert counts.dtype == np.uint8
-        assert counts.tolist() == [0, *[1] * 28, 28]
-        with pytest.raises(IndexError):
-            popcounts(np.array([1 << 28], dtype=np.uint32))
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64], ids=["uint32", "uint64"])
+    def test_popcounts_counts_in_place_and_refuses_other_dtypes(self, dtype):
+        # the region distances count uint32 masks and the Bruhat column
+        # uint64 bitsets; a Python int among the SWAR constants would turn
+        # uint64 words into float64 on NumPy 1.x
+        bits = np.dtype(dtype).itemsize * 8
+        rng = np.random.default_rng(2206)
+        random_words = np.frombuffer(rng.bytes(bits // 8 * 4096), dtype=dtype)
+        fixed = np.array([0, (1 << bits) - 1, *(1 << b for b in range(bits))], dtype=dtype)
+        words = np.concatenate((fixed, random_words))
+        masks = words.copy()
+        counts = popcounts(masks)
+        assert counts is masks and counts.dtype == dtype
+        assert counts.tolist() == [word.bit_count() for word in words.tolist()]
+        for other in (np.int64, np.uint16):
+            with pytest.raises(ValueError, match="uint32 or uint64"):
+                popcounts(np.ones(3, dtype=other))
+        read_only = words.copy()
+        read_only.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            popcounts(read_only)
 
     def test_needs_no_numpy2_popcount(self, monkeypatch):
         # pyproject allows numpy>=1.24, which has no np.bitwise_count
@@ -335,4 +349,4 @@ class TestGroupTable:
             assert np.array_equal(getattr(fresh, name), getattr(cached, name))
         assert distance_enumerator(Permutation.longest(5))(1) == 120
         masks = group_table(8).masks
-        assert popcounts(masks).tolist() == [m.bit_count() for m in masks.tolist()]
+        assert popcounts(masks.copy()).tolist() == [m.bit_count() for m in masks.tolist()]
