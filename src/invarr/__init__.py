@@ -33,7 +33,6 @@ from .orders import (
     code_monotone_check,
     product_q_formula,
     weak_interval,
-    weak_interval_by_filter,
     weak_leq,
     witness_231_reduction,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "sweep",
     "unrank_lex",
     "weak_interval",
-    "weak_interval_by_filter",
     "weak_leq",
     "witness_231_reduction",
 ]

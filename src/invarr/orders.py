@@ -1,14 +1,14 @@
 """Weak and Bruhat order on the symmetric group.
 
 Left weak order is containment of inversion sets: u <= w exactly when
-I(u) is a subset of I(w).  Intervals [id, w] are computed by breadth-first
-search upward from the identity, multiplying on the left by adjacent
-transpositions and keying visited states by inversion mask, so each state
-is O(n) work; this route serves every n <= 12 whose code product, an
-upper bound on the interval size, is within a state budget.  For n <= 8
-the same interval is also a filter of the whole-group table
-(``columns.group_table``) by mask containment, the weak route of
-``verify.stat_record``, which the BFS checks.
+I(u) is a subset of I(w).  ``weak_interval`` is the one route to [id, w]
+for every caller: for n <= 8 it filters the whole-group table
+(``columns.group_table``) by that containment, and past the table it
+searches breadth-first upward from the identity (``_weak_search``),
+multiplying on the left by adjacent transpositions and keying visited
+states by inversion mask, so each state is O(n) work; the search serves
+every n <= 12 whose code product, an upper bound on the interval size, is
+within a state budget, and checks the filter on small n.
 Bruhat intervals filter the same table by its dominance counts, read
 only on the columns of Fulton's essential set of w0 w
 (``GroupTable.bruhat_below``), and a slow chain-closure oracle
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import GroupTable, group_table
+from .columns import MAX_TABLE_N, GroupTable, group_table
 from .perm import (
     MAX_CODE_PRODUCT_N,
     Permutation,
@@ -93,18 +93,30 @@ def weak_leq(u: Permutation, w: Permutation) -> bool:
 def weak_interval(w: Permutation, with_elements: bool = False) -> IntervalSummary:
     """The interval [id, w] in left weak order, graded by inversion count.
 
-    BFS from the identity: multiplying u on the left by the adjacent
-    transposition s_v swaps the values v and v + 1; when v sits at
-    position p and v + 1 at position q with p < q, the step adds exactly
-    the inversion (p, q), which must lie in I(w).  States are keyed by
-    inversion mask.  The search visits wk(w) <= code_product(w) states,
-    and words whose code product exceeds ``MAX_WEAK_STATES`` are refused
-    before it starts.
+    For n <= ``MAX_TABLE_N`` the group-table rows whose inversion mask
+    lies in I(w); past the table, ``_weak_search``.
 
     >>> weak_interval(Permutation.longest(3), with_elements=True).elements[0].word
     (1, 2, 3)
     >>> weak_interval(Permutation((2, 5, 1, 3, 4))).size
     7
+    """
+    if w.n > MAX_TABLE_N:
+        return _weak_search(w, with_elements)
+    table = group_table(w.n)
+    below = (table.masks & ~np.uint32(inversion_mask(w.word))) == 0
+    return _table_interval(table, below, with_elements)
+
+
+def _weak_search(w: Permutation, with_elements: bool = False) -> IntervalSummary:
+    """weak_interval by BFS from the identity, for n <= ``MAX_WEAK_N``.
+
+    Multiplying u on the left by the adjacent transposition s_v swaps the
+    values v and v + 1; when v sits at position p and v + 1 at position q
+    with p < q, the step adds exactly the inversion (p, q), which must lie
+    in I(w).  States are keyed by inversion mask.  The search visits
+    wk(w) <= code_product(w) states, and words whose code product exceeds
+    ``MAX_WEAK_STATES`` are refused before it starts.
     """
     n = w.n
     if n > MAX_WEAK_N:
@@ -176,17 +188,6 @@ def _table_interval(
         poincare=length_polynomial(np.compress(below, table.inv)),
         elements=elements,
     )
-
-
-def weak_interval_by_filter(w: Permutation, with_elements: bool = False) -> IntervalSummary:
-    """weak_interval for n <= 8: the group-table rows whose mask lies in I(w).
-
-    >>> print(weak_interval_by_filter(Permutation((2, 5, 1, 3, 4))).poincare)
-    1 + q + 2q^2 + 2q^3 + q^4
-    """
-    table = group_table(w.n)
-    below = (table.masks & ~np.uint32(inversion_mask(w.word))) == 0
-    return _table_interval(table, below, with_elements)
 
 
 def bruhat_interval(w: Permutation, with_elements: bool = False) -> IntervalSummary:

@@ -163,7 +163,7 @@ def rook_count(w: Permutation) -> int:
 def is_right_justified_ferrers(board: Board) -> bool:
     """Whether each row is a right-justified run and row lengths weakly decrease.
 
-    True for the south-west diagram of every 312-avoiding permutation.
+    True for the south-west diagram of w exactly when w avoids 312.
 
     >>> is_right_justified_ferrers(southwest_diagram(Permutation((2, 3, 1))))
     True

@@ -299,12 +299,9 @@ def _sweep_records(fields: _Fields) -> list[StatRecord]:
     return list(map(_build_record, zip(*map(values, StatRecord._fields))))
 
 
-def _bulk_bruhat(word: Word, table: GroupTable, want_poly: bool):
+def _bulk_bruhat(word: Word, table: GroupTable):
     below = table.bruhat_below(word)
-    size = int(np.count_nonzero(below))
-    if not want_poly:
-        return size, None
-    return size, length_polynomial(np.compress(below, table.inv))
+    return int(np.count_nonzero(below)), length_polynomial(np.compress(below, table.inv))
 
 
 # The record of one tuple of field values in ``StatRecord`` order: the one
@@ -402,8 +399,8 @@ def stat_record(w: Permutation, depth: str = "counts") -> StatRecord:
     table = group_table(w.n)  # enforces n <= 8
     want_polys = depth != "counts"
     code = lehmer_code(w)
-    weak = orders.weak_interval_by_filter(w)
-    br, bruhat_poly = _bulk_bruhat(w.word, table, want_polys)
+    weak = orders.weak_interval(w)
+    br, bruhat_poly = _bulk_bruhat(w.word, table)
     # 4231 is in both pattern bundles; the cache backtracks it once.
     contains = cache(partial(contains_pattern, w))
     product_poly = distance_poly = re_count = None
@@ -430,7 +427,7 @@ def stat_record(w: Permutation, depth: str = "counts") -> StatRecord:
         not any(map(contains, REGION_BRUHAT_EQUALITY_PATTERNS)),
         not any(map(contains, POINCARE_MATCH_PATTERNS)),
         weak.poincare if want_polys else None,
-        bruhat_poly,
+        bruhat_poly if want_polys else None,
         product_poly,
         distance_poly,
     ))
@@ -649,7 +646,7 @@ ROUTE_ORACLES = (
         rook.count_rook_placements_by_backtracking(rook.southwest_diagram(w).complement()),
     )),
     OracleRow("weak_bfs_vs_filter", 6, lambda t, k, w: (
-        orders.weak_interval(w), orders.weak_interval_by_filter(w),
+        orders._weak_search(w), orders.weak_interval(w),
     )),
     OracleRow("regions_vs_acyclic_orientations", 6, lambda t, k, w: (
         arrangement.regions(w).size,
@@ -663,7 +660,7 @@ ROUTE_ORACLES = (
 COLUMN_ROUTES = (
     OracleRow("weak_column_vs_filter", 7, lambda t, k, w: (
         orders.IntervalSummary(int(t.wk[k]), QPolynomial(t.weak[k].tolist())),
-        orders.weak_interval_by_filter(w),
+        orders.weak_interval(w),
     )),
     OracleRow("orientation_column_vs_color_partitions", 7, lambda t, k, w: (
         int(t.ao[k]), arrangement.count_acyclic_orientations(arrangement.inversion_graph(w)),

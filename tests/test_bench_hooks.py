@@ -34,6 +34,8 @@ def test_wrapped_names_run_and_are_restored():
         assert bruhat_calls == 1
         assert tracer.counters["bruhat_rows"] == factorial(8) * bruhat_calls
         assert tracer.counters["bruhat_hits"] == record.br
+        # the weak span counts the one weak_interval of the record
+        assert tracer.counters["weak_states"] == record.wk
         report = verify.sweep(3, "polys", parallelism=1)
     finally:
         restored = tracer.restore()
@@ -53,7 +55,9 @@ def test_wrapped_names_run_and_are_restored():
     # stat_record filters the gate chambers
     for name in ("arrangement.regions", "arrangement.distance_of_regions"):
         assert spans[name]["calls"] == 1, name
-    assert "orders.weak_interval" not in spans  # records read the group table
+    # the sweep reads wk and weak_poly from the weak column: only the
+    # stat_record calls the weak route
+    assert spans["orders.weak_interval"]["calls"] == 1
     # the sweep reads br and bruhat_poly from the Bruhat column: only the
     # stat_record scans the table
     assert spans["verify.bruhat_table"]["calls"] == 1

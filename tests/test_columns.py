@@ -241,7 +241,7 @@ def test_stat_record_and_the_cli_build_no_columns(capsys):
     # only the arrays of the per-record routes, and no smaller group
     assert set(vars(group_table(8))) == {"n", "words", "masks", "inv", "dom", "lower"}
     assert group_table.cache_info().currsize == 1
-    assert record.wk == orders.weak_interval_by_filter(w).size
+    assert record.wk == orders.weak_interval(w).size
     board = rook.southwest_diagram(w).complement()
     assert record.rk == rook.count_rook_placements_by_backtracking(board)
     assert record.ao == arrangement.count_acyclic_orientations(arrangement.inversion_graph(w))
@@ -261,7 +261,8 @@ def test_a_sweep_reads_the_columns_and_calls_no_per_record_route(monkeypatch):
         (verify, "contains_pattern"),
         (verify, "avoids_all"),
         (verify, "_bulk_bruhat"),
-        (orders, "weak_interval_by_filter"),
+        (orders, "weak_interval"),
+        (orders, "_weak_search"),
         (orders, "product_q_formula"),
         (arrangement, "count_acyclic_orientations"),
         (arrangement, "regions"),
@@ -283,7 +284,7 @@ def test_weak_poly_at_one_equals_the_weak_column():
         weak = group_table(n).weak
         wk = group_table(n).wk.tolist()
         for rank, word in enumerate(iter_words(n)):
-            interval = orders.weak_interval(Permutation(word))
+            interval = orders._weak_search(Permutation(word))
             assert wk[rank] == interval.size, word
             assert QPolynomial(weak[rank].tolist()) == interval.poincare, word
 

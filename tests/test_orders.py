@@ -7,14 +7,15 @@ from math import factorial
 
 import pytest
 
+from invarr import orders
 from invarr.orders import (
     MAX_WEAK_STATES,
+    _weak_search,
     bruhat_interval,
     bruhat_interval_by_chains,
     code_monotone_check,
     product_q_formula,
     weak_interval,
-    weak_interval_by_filter,
     weak_leq,
     witness_231_reduction,
 )
@@ -48,19 +49,20 @@ class TestWeakOrder:
             weak_leq(Permutation((1, 2)), Permutation((1, 2, 3)))
 
     def test_interval_of_25134(self):
-        summary = weak_interval(W25134, with_elements=True)
-        assert summary.size == 7
-        assert summary.max_length == 4
-        assert summary.poincare == QPolynomial((1, 1, 2, 2, 1))
-        assert {str(e) for e in summary.elements} == {
-            "12345",
-            "13245",
-            "23145",
-            "14235",
-            "24135",
-            "15234",
-            "25134",
-        }
+        for route in (weak_interval, _weak_search):
+            summary = route(W25134, with_elements=True)
+            assert summary.size == 7
+            assert summary.max_length == 4
+            assert summary.poincare == QPolynomial((1, 1, 2, 2, 1))
+            assert {str(e) for e in summary.elements} == {
+                "12345",
+                "13245",
+                "23145",
+                "14235",
+                "24135",
+                "15234",
+                "25134",
+            }
 
     def test_interval_endpoints(self):
         assert weak_interval(Permutation.identity(5)).size == 1
@@ -70,13 +72,14 @@ class TestWeakOrder:
         assert summary.poincare == QPolynomial((1, 2, 2, 1))
 
     def test_elements_sorted_and_membership_matches_leq(self):
-        for word in iter_words(4):
-            w = Permutation(word)
-            summary = weak_interval(w, with_elements=True)
-            words = [e.word for e in summary.elements]
-            assert words == sorted(words)
-            below = {u for u in iter_words(4) if weak_leq(Permutation(u), w)}
-            assert set(words) == below
+        for route in (weak_interval, _weak_search):
+            for word in iter_words(4):
+                w = Permutation(word)
+                summary = route(w, with_elements=True)
+                words = [e.word for e in summary.elements]
+                assert words == sorted(words)
+                below = {u for u in iter_words(4) if weak_leq(Permutation(u), w)}
+                assert set(words) == below
 
     def test_poincare_shape(self):
         for word in iter_words(5):
@@ -91,11 +94,22 @@ class TestWeakOrder:
         for n in range(1, 6):
             for word in iter_words(n):
                 w = Permutation(word)
-                fast = weak_interval(w, with_elements=True)
-                slow = weak_interval_by_filter(w, with_elements=True)
-                assert fast.size == slow.size
-                assert fast.poincare == slow.poincare
-                assert fast.elements == slow.elements
+                search = _weak_search(w, with_elements=True)
+                filtered = weak_interval(w, with_elements=True)
+                assert search.size == filtered.size
+                assert search.poincare == filtered.poincare
+                assert search.elements == filtered.elements
+
+    def test_the_group_table_serves_every_word_through_s8(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("weak_interval searched inside the group table")
+
+        monkeypatch.setattr(orders, "_weak_search", refuse)
+        for word in iter_words(5):
+            assert weak_interval(Permutation(word)).size >= 1
+        summary = weak_interval(Permutation.longest(8))
+        assert summary.size == factorial(8)
+        assert summary.poincare == product_q_formula(Permutation.longest(8))
 
     def test_cap(self):
         with pytest.raises(ValueError, match="n <= 12"):
@@ -131,19 +145,25 @@ def _random_231_avoider(rng: random.Random, values: list[int]) -> list[int]:
     )
 
 
+def _draws(n: int) -> list[Permutation]:
+    """25 seeded uniform words of S_n, then 25 seeded 231-avoiders."""
+    rng = random.Random(1000 + n)
+    draws = []
+    for _ in range(25):
+        word = list(range(1, n + 1))
+        rng.shuffle(word)
+        draws.append(Permutation(tuple(word)))
+    for _ in range(25):
+        draws.append(Permutation(tuple(_random_231_avoider(rng, list(range(1, n + 1))))))
+    return draws
+
+
 class TestWeakBeyondTheGroupTable:
-    """Past n = 8 the BFS is the only weak route; check it on seeded draws."""
+    """Past n = 8 weak_interval searches; check it on seeded draws."""
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_random_permutations(self, n):
-        rng = random.Random(1000 + n)
-        draws = []
-        for _ in range(25):
-            word = list(range(1, n + 1))
-            rng.shuffle(word)
-            draws.append(Permutation(tuple(word)))
-        for _ in range(25):
-            draws.append(Permutation(tuple(_random_231_avoider(rng, list(range(1, n + 1))))))
+        draws = _draws(n)
         avoiders = 0
         for w in draws:
             summary = weak_interval(w)
@@ -157,8 +177,15 @@ class TestWeakBeyondTheGroupTable:
             assert summary.poincare(1) == summary.size
             assert summary.poincare.degree == inversion_count(w)
         assert 25 <= avoiders < len(draws)
-        with pytest.raises(ValueError, match="n <= 8"):
-            weak_interval_by_filter(draws[0])
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_no_group_table_is_read(self, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("weak_interval read a group table past S8")
+
+        monkeypatch.setattr(orders, "group_table", refuse)
+        for w in _draws(n):
+            assert weak_interval(w).size <= code_product(w), w.word
 
 
 class TestBruhatOrder:

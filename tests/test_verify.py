@@ -148,14 +148,14 @@ class TestStatRecord:
 
     @pytest.mark.parametrize("depth", verify.DEPTHS)
     def test_weak_filter_runs_once_per_record(self, monkeypatch, depth):
-        original = orders.weak_interval_by_filter
+        original = orders.weak_interval
         calls = []
 
         def counting(w, *args, **kwargs):
             calls.append(w.word)
             return original(w, *args, **kwargs)
 
-        monkeypatch.setattr(orders, "weak_interval_by_filter", counting)
+        monkeypatch.setattr(orders, "weak_interval", counting)
         # S6 is the first group that holds a six-letter pattern of a bundle
         # (351624), so n = 6 compares that path with the sweep's record.
         for n in (5, 6):
