@@ -50,7 +50,6 @@ from .perm import (
     Permutation,
     inversion_mask,
     length_polynomial,
-    popcounts,
 )
 from .qpoly import QPolynomial, checked_int64
 
@@ -285,8 +284,8 @@ def regions_by_sort(w: Permutation) -> np.ndarray:
 
 def distance_of_regions(masks: np.ndarray) -> QPolynomial:
     """Generating function of region distances from the base chamber, given
-    the regions' sign masks, which it leaves unchanged."""
-    return length_polynomial(popcounts(masks.copy()))
+    the regions' sign masks: a region's distance is its mask's bit count."""
+    return length_polynomial(np.bitwise_count(masks))
 
 
 def distance_enumerator(w: Permutation) -> QPolynomial:

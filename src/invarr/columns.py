@@ -66,7 +66,7 @@ those of w on the cells of Fulton's essential set of w0 w (Duke Math.
 J. 65, 1992), which ``essential_cells`` finds for both.  Each (dominance
 column, bound) pair becomes one packed bitset over S_n, the bit axis
 ordered by length, and a row of length counts is the AND of the bitsets
-of its essential cells, bit-counted word by word by ``perm.popcounts``
+of its essential cells, bit-counted word by word by ``np.bitwise_count``
 and summed one length segment at a time.  Its independent check is the
 full entrywise dominance compare, ``verify.COLUMN_ROUTES``'s row
 ``bruhat_column_vs_dominance_compare``.
@@ -94,12 +94,10 @@ import numpy as np
 
 from .perm import (
     POINCARE_MATCH_PATTERNS,
-    POPCOUNT_16,
     REGION_BRUHAT_EQUALITY_PATTERNS,
     WEAK_EQUALITY_PATTERNS,
     Permutation,
     Word,
-    popcounts,
 )
 
 # Largest n of the whole-group table: 8! rows, C(8, 2) = 28 mask bits.
@@ -301,7 +299,7 @@ class GroupTable:
     def ferrers(self) -> np.ndarray:
         """(n!,) bool: the south-west diagram is a right-justified Ferrers diagram."""
         n, diagram = self.n, _diagram_rows(self.words)
-        counts = POPCOUNT_16[diagram]
+        counts = np.bitwise_count(diagram)
         right_justified = diagram == (1 << n) - (1 << (n - counts.astype(np.int32)))
         return right_justified.all(axis=1) & (counts[:, :-1] >= counts[:, 1:]).all(axis=1)
 
@@ -498,14 +496,14 @@ def _weak_terms(
         descents |= (positions[:, v] < positions[:, v - 1]).astype(np.uint8) << (v - 1)
     descents = descents[order]
     # a word with d left descents has 2^d - 1 terms
-    counts = np.left_shift(1, POPCOUNT_16[descents], dtype=np.int64) - 1
+    counts = np.left_shift(1, np.bitwise_count(descents), dtype=np.int64) - 1
     first = np.concatenate(([0], np.cumsum(counts)))
     subsets = np.arange(1, 1 << (n - 1), dtype=np.uint8)
     # w0(J) w maps each letter through the value table of w0(J)
     longest = np.array(
         [_parabolic_longest(subset, n) for subset in subsets.tolist()], dtype=np.int8
     ).ravel()
-    sign_of = np.where(POPCOUNT_16[subsets] % 2, 1, -1).astype(np.int8)
+    sign_of = np.where(np.bitwise_count(subsets) % 2, 1, -1).astype(np.int8)
     targets = np.empty(first[-1], dtype=np.uint16)
     signs = np.empty(first[-1], dtype=np.int8)
     for lo in range(0, len(words), _WEAK_CHUNK):
@@ -618,7 +616,7 @@ def _rook_placements(words: np.ndarray) -> np.ndarray:
     """
     n = words.shape[1]
     masks = np.arange(1 << n)
-    sizes = POPCOUNT_16[masks]
+    sizes = np.bitwise_count(masks)
     index = np.empty(1 << n, dtype=np.intp)  # a mask's place among the masks of its size
     for size in range(n + 1):
         index[sizes == size] = np.arange(int((sizes == size).sum()))
@@ -717,8 +715,9 @@ def _bruhat_counts(table: GroupTable) -> np.ndarray:
     c (n + 1) + b holds {u : dom[u, c] <= b} as packed bits, the bit axis
     sorted by length with each length class padded to whole 64-bit
     words, so a row of counts is the AND of its cells' bitsets,
-    bit-counted one 64-bit word at a time (``perm.popcounts``) and summed
-    segment by segment.  Only the segments of lengths up to inv(w) can
+    bit-counted one 64-bit word at a time (``np.bitwise_count``, uint8)
+    and summed segment by segment in uint16: a length class of S_8 holds
+    up to 3836 words.  Only the segments of lengths up to inv(w) can
     hold a u <= w.  w0, whose essential set is empty, lies above every
     word.
     """
@@ -759,6 +758,8 @@ def _bruhat_counts(table: GroupTable) -> np.ndarray:
             below = index[cell[:, 0], : segments[top]]
             for t in range(1, size):
                 below &= index[cell[:, t], : segments[top]]
-            counts[rows, :top] = np.add.reduceat(popcounts(below), segments[:top], axis=1)
+            counts[rows, :top] = np.add.reduceat(
+                np.bitwise_count(below), segments[:top], axis=1, dtype=np.uint16
+            )
     return counts
 

@@ -4,7 +4,7 @@ A permutation is the word (w_1, ..., w_n) of its values; positions and
 values are 1-based at every public boundary.  This module owns the
 vocabulary the rest of the library consumes: inversion sets realized as
 bit masks over the C(n, 2) position pairs, Lehmer codes and their
-products, pattern containment and bit counts of masks.
+products and pattern containment.
 
 The inversion set of w is I(w) = {(i, j) : i < j, w_i > w_j}, a set of
 POSITION pairs.  Pair (i, j) with i < j is assigned the bit slot given
@@ -35,22 +35,13 @@ import numpy as np
 
 from .qpoly import QPolynomial, checked_int64
 
+# np.bitwise_count, the one bit count of the package's mask arrays, came in NumPy 2.0.
+if not hasattr(np, "bitwise_count"):
+    raise ImportError(f"invarr needs NumPy >= 2.0, found NumPy {np.__version__}")
+
 Word = tuple[int, ...]
 
 
-def _bit_counts(bits: int) -> np.ndarray:
-    """The read-only uint8 bit counts of 0 .. 2^bits - 1, by doubling: the
-    values with the top bit set count one more than those without it."""
-    table = np.zeros(1, dtype=np.uint8)
-    for _ in range(bits):
-        table = np.concatenate((table, table + np.uint8(1)))
-    table.setflags(write=False)  # shared by perm, rook and columns
-    return table
-
-
-# Bit counts of the 16-bit values, for lookups of 16 bits or fewer, where a
-# table beats ``popcounts``: np.bitwise_count is NumPy 2 only.
-POPCOUNT_16 = _bit_counts(16)
 # code_product of the longest element is n!; 20! < 2^63 <= 21!.
 MAX_CODE_PRODUCT_N = 20
 
@@ -314,48 +305,3 @@ def length_polynomial(lengths) -> QPolynomial:
     1 + 2q + q^2
     """
     return QPolynomial(tuple(np.bincount(lengths).tolist()))
-
-
-# The masks and shifts of the SWAR bit count, as scalars of each mask
-# dtype: NumPy 1.x turns uint64 with a Python int into float64.  With
-# ones = 2^bits - 1, ones // 3, ones // 5, ones // 17 and ones // 255 are
-# 0x5555..., 0x3333..., 0x0F0F... and 0x0101...; bits - 8 moves the top
-# byte of the final product down.
-_SWAR = {
-    np.dtype(dtype): tuple(
-        map(dtype, (ones // 3, ones // 5, ones // 17, ones // 255, 1, 2, 4, bits - 8))
-    )
-    for dtype, bits, ones in ((np.uint32, 32, 2**32 - 1), (np.uint64, 64, 2**64 - 1))
-}
-
-
-def popcounts(masks: np.ndarray) -> np.ndarray:
-    """The bit count of each uint32 or uint64 of ``masks``, written over
-    ``masks``; any other dtype raises ``ValueError``.
-
-    The SWAR count (Warren, *Hacker's Delight*, section 5-1): bit pairs,
-    then nibbles, then bytes summed by one multiplication, with one
-    temporary of the size of ``masks``; ``np.bitwise_count`` is NumPy 2 only.
-
-    >>> popcounts(np.array([0, 7, 2**32 - 1], dtype=np.uint32)).tolist()
-    [0, 3, 32]
-    >>> popcounts(np.array([0, 1, 2**64 - 1, 0xF0F0], dtype=np.uint64)).tolist()
-    [0, 1, 64, 8]
-    """
-    try:
-        m1, m2, m4, h01, s1, s2, s4, top = _SWAR[masks.dtype]
-    except KeyError:
-        raise ValueError(f"popcounts counts uint32 or uint64 masks, got {masks.dtype}") from None
-    half = masks >> s1
-    half &= m1
-    masks -= half
-    np.right_shift(masks, s2, out=half)
-    half &= m2
-    masks &= m2
-    masks += half
-    np.right_shift(masks, s4, out=half)
-    masks += half
-    masks &= m4
-    masks *= h01
-    masks >>= top
-    return masks

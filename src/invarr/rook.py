@@ -25,10 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .perm import POPCOUNT_16, Permutation
+from .perm import Permutation
 from .qpoly import checked_int64
 
-MAX_PERMANENT_N = 12  # at most 16: the column subsets index POPCOUNT_16
+MAX_PERMANENT_N = 12  # at most 16: the column subsets are uint16 masks
 # Products one Ryser block holds at once (64 KiB of int32), gathered from
 # n times as many uint8 row counts.
 _RYSER_CHUNK = 1 << 14
@@ -89,7 +89,7 @@ def _ryser_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2^n column subsets S of an n x n board as uint16, and the
     int64 signs (-1)^(n - |S|) of their Ryser terms, both read-only."""
     subsets = np.arange(1 << n, dtype=np.uint16)
-    odd = (n - POPCOUNT_16[: 1 << n]) % 2 == 1
+    odd = (n - np.bitwise_count(subsets)) % 2 == 1
     signs = np.where(odd, -1, 1).astype(np.int64)
     for array in (subsets, signs):
         array.setflags(write=False)  # shared by every later call at this n
@@ -115,7 +115,7 @@ def permanents(rows: np.ndarray) -> np.ndarray:
     step = max(1, _RYSER_CHUNK >> n)
     out = np.empty(len(rows), dtype=np.int64)
     for lo in range(0, len(rows), step):
-        counts = POPCOUNT_16[rows[lo : lo + step, :, None] & subsets]
+        counts = np.bitwise_count(rows[lo : lo + step, :, None] & subsets)
         out[lo : lo + step] = counts.prod(axis=1, dtype=dtype) @ signs
     return out
 

@@ -132,7 +132,7 @@ def test_rk_column_equals_the_ryser_permanents_of_the_complement_boards(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_words_are_the_lexicographic_permutations(n):
-    # the first-letter blocks add int8 + bool, which keeps int8 on NumPy 1.x and 2.x
+    # the first-letter blocks add int8 + bool, which keeps int8 on NumPy 2.x
     words = group_table(n).words
     assert np.array_equal(words, np.array(list(itertools.permutations(range(1, n + 1)))))
     assert words.dtype == np.int8

@@ -1,21 +1,24 @@
 """Unit tests for permutations, inversion masks, codes, and patterns."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invarr
 from invarr import columns
-from invarr.arrangement import distance_enumerator
 from invarr.columns import group_table
 from invarr.perm import (
     MAX_PATTERN_WINDOWS,
     PATTERN_231,
     PATTERN_312,
     POINCARE_MATCH_PATTERNS,
-    POPCOUNT_16,
     REGION_BRUHAT_EQUALITY_PATTERNS,
     WEAK_EQUALITY_PATTERNS,
     Permutation,
@@ -28,7 +31,6 @@ from invarr.perm import (
     iter_words,
     lehmer_code,
     parse_permutation,
-    popcounts,
     _pattern_windows,
     unrank_lex,
 )
@@ -303,50 +305,19 @@ class TestGroupTable:
         with pytest.raises(ValueError, match="n <= 8"):
             group_table(9)
 
-    def test_masks_refuse_more_than_28_pairs(self, monkeypatch):
+    def test_masks_refuse_more_than_32_pair_slots(self, monkeypatch):
         # C(9, 2) = 36 slots exceed the 32 bits of a uint32 mask; a raised
         # cap must fail before building
         monkeypatch.setattr(columns, "MAX_TABLE_N", 9)
         with pytest.raises(ValueError, match="32 pair slots"):
             group_table.__wrapped__(9)
 
-    def test_popcount_table_is_a_read_only_uint8_bit_count(self):
-        # built by doubling with uint8 + 1, which keeps uint8 on NumPy 1.x and 2.x
-        assert POPCOUNT_16.dtype == np.uint8 and POPCOUNT_16.shape == (1 << 16,)
-        assert not POPCOUNT_16.flags.writeable
-        assert POPCOUNT_16.tolist() == [v.bit_count() for v in range(1 << 16)]
-        with pytest.raises(ValueError, match="read-only"):
-            POPCOUNT_16[0] = 1
-
-    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64], ids=["uint32", "uint64"])
-    def test_popcounts_counts_in_place_and_refuses_other_dtypes(self, dtype):
-        # the region distances count uint32 masks and the Bruhat column
-        # uint64 bitsets; a Python int among the SWAR constants would turn
-        # uint64 words into float64 on NumPy 1.x
-        bits = np.dtype(dtype).itemsize * 8
-        rng = np.random.default_rng(2206)
-        random_words = np.frombuffer(rng.bytes(bits // 8 * 4096), dtype=dtype)
-        fixed = np.array([0, (1 << bits) - 1, *(1 << b for b in range(bits))], dtype=dtype)
-        words = np.concatenate((fixed, random_words))
-        masks = words.copy()
-        counts = popcounts(masks)
-        assert counts is masks and counts.dtype == dtype
-        assert counts.tolist() == [word.bit_count() for word in words.tolist()]
-        for other in (np.int64, np.uint16):
-            with pytest.raises(ValueError, match="uint32 or uint64"):
-                popcounts(np.ones(3, dtype=other))
-        read_only = words.copy()
-        read_only.setflags(write=False)
-        with pytest.raises(ValueError, match="read-only"):
-            popcounts(read_only)
-
-    def test_needs_no_numpy2_popcount(self, monkeypatch):
-        # pyproject allows numpy>=1.24, which has no np.bitwise_count
-        cached = group_table(6)
-        monkeypatch.delattr(np, "bitwise_count", raising=False)
-        fresh = group_table.__wrapped__(6)
-        for name in ("words", "masks", "inv", "dom"):
-            assert np.array_equal(getattr(fresh, name), getattr(cached, name))
-        assert distance_enumerator(Permutation.longest(5))(1) == 120
-        masks = group_table(8).masks
-        assert popcounts(masks.copy()).tolist() == [m.bit_count() for m in masks.tolist()]
+    def test_import_refuses_numpy_without_bitwise_count(self):
+        # np.bitwise_count is the package's one bit count: without it
+        # (NumPy 1.x) the import fails at once, naming the NumPy it needs
+        env = {**os.environ, "PYTHONPATH": str(Path(invarr.__file__).parents[1])}
+        code = "import numpy; del numpy.bitwise_count; import invarr"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+        )
+        assert done.returncode != 0 and "NumPy >= 2.0" in done.stderr
