@@ -67,6 +67,7 @@ from .verify import (
     oracle_checks,
     stat_record,
     sweep,
+    write_report,
 )
 
 __version__ = "0.1.0"
@@ -115,4 +116,5 @@ __all__ = [
     "weak_interval",
     "weak_leq",
     "witness_231_reduction",
+    "write_report",
 ]

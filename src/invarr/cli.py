@@ -91,7 +91,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         report = verify.sweep(args.n, depth=args.depth)
         emit_start = time.perf_counter()
-        out.write(verify.emit_report(report, format=args.format))
+        verify.write_report(report, out, format=args.format)
         out.flush()
         end = time.perf_counter()
     seconds = end - start

@@ -231,12 +231,8 @@ class GroupTable:
 
     @_array
     def inv(self) -> np.ndarray:
-        """(n!,) uint8 inversion counts, by first-letter blocks: the first
-        letter f of a word of S_k adds f - 1 inversions to its tail's."""
-        inv = np.zeros(1, dtype=np.uint8)
-        for k in range(2, self.n + 1):
-            inv = (inv + np.arange(k, dtype=np.uint8)[:, None]).reshape(-1)
-        return inv
+        """(n!,) uint8 inversion counts, the bit counts of ``masks``."""
+        return np.bitwise_count(self.masks)
 
     @_array
     def dom(self) -> np.ndarray:

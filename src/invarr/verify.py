@@ -51,14 +51,15 @@ At depths ``polys`` and ``with_region_oracle`` every record gets its
 four polynomials; only ``with_region_oracle`` also reports the region
 count ``re``.
 
-``emit_report`` writes the records from the report's whole-group fields,
+``write_report`` writes the records from the report's whole-group fields,
 not from the records: ``_EMIT_CHUNK`` ranks at a time, each field's
 cells are formatted for the whole chunk at once, by a formatter chosen
 once per field by its kind (ints and flags by lookup, words and codes as
 fixed-width digit rows, each polynomial column once per distinct row),
 set between constant parts in one object array, joined into one string
 and encoded; an absent field's cell is part of the constant text around
-it.
+it.  Each chunk reaches the output stream before the next is built;
+``emit_report`` is the same writer into one in-memory buffer.
 ``StatRecord.to_json_dict`` stays the definition of a record's JSON: the
 writer must reproduce ``json.dumps`` of the records' dicts byte for
 byte, and ``invarr stats`` and the violations, which are rare, go
@@ -81,7 +82,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from math import factorial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -146,7 +147,7 @@ class StatRecord(NamedTuple):
 @dataclass(frozen=True)
 class SweepReport:
     """A sweep's records, violations and class counts, and the whole-group
-    fields they were read from, which ``emit_report`` writes."""
+    fields they were read from, which ``write_report`` writes."""
 
     n: int
     depth: str
@@ -200,13 +201,16 @@ class _Fields:
     avoids_312: np.ndarray
     ferrers: np.ndarray
 
-    @cached_property
-    def largest_int(self) -> int:
-        """The largest value of the record fields that are one int per rank."""
+    def lookup(self, convert: Callable[[int], object]) -> np.ndarray:
+        """``convert(v)`` at each value v of the one-int record fields, else None."""
         columns = (getattr(self, name) for name in StatRecord._fields)
-        return max(
-            int(c.max()) for c in columns if c is not None and c.ndim == 1 and c.dtype != bool
-        )
+        ints = [c for c in columns if c is not None and c.ndim == 1 and c.dtype != bool]
+        present = np.zeros(max(int(c.max()) for c in ints) + 1, dtype=bool)
+        for column in ints:
+            present[column] = True
+        table = np.empty(len(present), dtype=object)
+        table[present] = list(map(convert, np.flatnonzero(present).tolist()))
+        return table
 
     @cached_property
     def re_eff(self) -> np.ndarray:
@@ -279,10 +283,10 @@ def _sweep_records(fields: _Fields) -> list[StatRecord]:
     of field values per rank, each handed to ``_build_record``.
 
     The records share one int object per value, looked up in one object
-    array: ``tolist`` would make a new object for each int above 256,
-    4.6 MiB of them at S_8 against 1.5 MiB for the array.
+    array (``_Fields.lookup``): ``tolist`` would make a new object for each
+    int above 256, 4.6 MiB of them at S_8 against 0.37 MiB for the array.
     """
-    ints = np.arange(fields.largest_int + 1).astype(object)
+    ints = fields.lookup(int)
 
     def values(name: str) -> Iterable:
         column = getattr(fields, name)
@@ -545,7 +549,7 @@ def _record_chunks(fields: _Fields, format: str) -> Iterator[bytes]:
     of 33).  The chunk is joined into one string.
     """
     columns = {name: getattr(fields, name) for name in StatRecord._fields}
-    numerals = np.array(list(map(str, range(fields.largest_int + 1))), dtype=object)
+    numerals = fields.lookup(str)
     flag = np.array(_FLAG, dtype=object)
 
     def formatter(name: str, column: np.ndarray) -> Callable[[slice], object]:
@@ -578,8 +582,8 @@ def _record_chunks(fields: _Fields, format: str) -> Iterator[bytes]:
         yield "".join(block.ravel().tolist()).encode("utf-8")
 
 
-def emit_report(report: SweepReport, format: str = "json") -> bytes:
-    """Serialize a sweep report; output bytes are stable across runs.
+def write_report(report: SweepReport, out: BinaryIO, format: str = "json") -> None:
+    """Write a sweep report to the binary stream ``out``, in stable bytes.
 
     JSON carries records, violations, and class counts; CSV carries the
     records alone, one row per permutation in lexicographic order, with
@@ -588,7 +592,8 @@ def emit_report(report: SweepReport, format: str = "json") -> bytes:
     a chunk of ranks at a time (``_record_chunks``); the JSON bytes are
     those of ``json.dumps`` over the records' ``to_json_dict``, and the
     violations, which are rare and keep their dicts, go through
-    ``json.dumps`` itself.
+    ``json.dumps`` itself.  Each chunk is dropped before the next is built
+    (``writelines``), and a bad ``format`` raises before any byte is written.
     """
     if format == "json":
         head = '{"n": %d, "depth": %s, "records": [' % (report.n, json.dumps(report.depth))
@@ -600,20 +605,16 @@ def emit_report(report: SweepReport, format: str = "json") -> bytes:
         head, tail = CSV_HEADER + "\n", ""
     else:
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
-    # One buffer, grown in place and handed over without a copy: joining
-    # the encoded chunks would hold the report twice (a cold full-depth S8
-    # JSON sweep peaked at 177.6 against 166.3 MiB).
-    report_bytes = io.BytesIO()
-    report_bytes.write(head.encode("utf-8"))
-    for chunk in _record_chunks(report.fields, format):
-        report_bytes.write(chunk)
-        # freed before the next chunk is built, so that it cannot sit above
-        # the buffer and turn the buffer's next growth into a copy (that
-        # cost 1.1 MiB at the peak of a cold S8 counts JSON before the
-        # records shared their ints)
-        del chunk
-    report_bytes.write(tail.encode("utf-8"))
-    return report_bytes.getvalue()
+    out.write(head.encode("utf-8"))
+    out.writelines(_record_chunks(report.fields, format))
+    out.write(tail.encode("utf-8"))
+
+
+def emit_report(report: SweepReport, format: str = "json") -> bytes:
+    """The bytes of ``write_report`` in one buffer, for the library and the pins."""
+    buffer = io.BytesIO()
+    write_report(report, buffer, format)
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------

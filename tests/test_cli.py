@@ -186,6 +186,25 @@ class TestSweep:
         capsysbinary.readouterr()
         assert target.read_bytes() == stdout_payload
 
+    def test_the_report_is_streamed_not_built_in_memory(
+        self, capsysbinary, monkeypatch, tmp_path
+    ):
+        report = verify.sweep(4, "polys")
+        expected = {fmt: verify.emit_report(report, fmt) for fmt in ("json", "csv")}
+
+        def no_buffer(*args, **kwargs):
+            raise AssertionError("the whole report was built in memory")
+
+        monkeypatch.setattr(verify, "emit_report", no_buffer)
+        for fmt, payload in expected.items():
+            argv = ["sweep", "--n", "4", "--depth", "polys", "--format", fmt]
+            assert cli.run(argv) == 0
+            assert capsysbinary.readouterr().out == payload
+            target = tmp_path / f"report.{fmt}"
+            assert cli.run(argv + ["--output", str(target)]) == 0
+            capsysbinary.readouterr()
+            assert target.read_bytes() == payload
+
     def test_csv_format(self, capsysbinary, tmp_path):
         target = tmp_path / "report.csv"
         code = cli.run(

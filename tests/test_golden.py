@@ -103,14 +103,6 @@ REPORT_SHA256 = {
         "b228bc6255238744039193ea9057dbab685a671554061f7ef7af6a883d5a94c7",
     ),
 }
-ORACLE_JSON_SHA256 = {
-    1: "40d36f15c45eaa9ac4e349483558012926734898d440b53b579c8ad8ee89eea1",
-    2: "d6ad403c29f258c63d8fdcf57da4bd7070aa9602a1ea1bc079abebebc1606185",
-    3: "a91d5303c53eb79614895ebd285937b9a3bc71f4c667149a1b1a153c7e417409",
-    4: "9f507a84d11ae8bd4f152f59493481a2efbf7636056ebed90d6cdba532d8f411",
-    5: "5a121485f4f995382e9feca08f02ac02e8ecf2156d2aa569f7f2ebd9c568deca",
-    6: "2ad6dc84bb8f382192dbf5e4ea0cabb74cb1b18cae7e4f420b83596c58320da5",
-}
 S7_POLYS_CSV_SHA256 = "d759b40cb542ed4c42d3cefaab29978dd6e4dd3eb65c681e481c568292641abd"
 # (depth, format) of the S8 reports the CI workflow pins
 S8_REPORT_SHA256 = {
@@ -137,7 +129,7 @@ def test_oracle_sweep_json_bytes(small_oracle_sweeps, sweep6_oracle):
     reports, _ = small_oracle_sweeps
     reports = {**reports, 6: sweep6_oracle.report}
     digests = {n: _sha256(verify.emit_report(r, "json")) for n, r in reports.items()}
-    assert digests == ORACLE_JSON_SHA256
+    assert digests == {n: REPORT_SHA256[n, "with_region_oracle"][0] for n in range(1, 7)}
 
 
 def test_s7_polys_csv_bytes_without_distance_column(sweep7_polys):

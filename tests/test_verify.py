@@ -594,6 +594,13 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="format must be"):
             verify.emit_report(verify.sweep(1), format="xml")
 
+    def test_a_bad_format_raises_before_the_sink_gets_a_byte(self):
+        report = verify.sweep(3)
+        for sink in (_SpySink(), io.BytesIO()):
+            with pytest.raises(ValueError, match="format must be"):
+                verify.write_report(report, sink, format="xml")
+            assert sink.getvalue() == b""
+
 
 def _json_report_by_dicts(report):
     """The JSON report as ``json.dumps`` of one dict per record: the oracle of
@@ -623,6 +630,25 @@ def _csv_cell(value):
 # ends a chunk, 6 divides n! exactly for n >= 3, 7 divides no n! of S1-S6,
 # and the default holds each of them in one chunk.
 EMIT_CHUNKS = (1, 6, 7, verify._EMIT_CHUNK)
+
+
+class _SpySink:
+    """A binary sink that keeps every piece it is handed, through ``write``
+    or ``writelines``, as a separate piece."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, piece):
+        self.pieces.append(bytes(piece))
+        return len(piece)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+    def getvalue(self):
+        return b"".join(self.pieces)
 
 
 class TestRecordWriters:
@@ -663,6 +689,48 @@ class TestRecordWriters:
             for chunk in EMIT_CHUNKS:
                 monkeypatch.setattr(verify, "_EMIT_CHUNK", chunk)
                 assert verify.emit_report(report, "json") == expected, (n, chunk)
+
+    def test_the_int_lookup_holds_only_the_values_the_fields_take(self):
+        # the records' shared ints and the writer's numerals: 2296 of the
+        # 40321 values 0..8! at S_8, so every other entry must stay empty
+        fields = verify.sweep(6, "with_region_oracle").fields
+        taken = set()
+        for name in ("inv", "prod", "wk", "br", "ao", "rk", "re"):
+            taken.update(getattr(fields, name).tolist())
+        for convert in (int, str):
+            table = fields.lookup(convert)
+            assert len(table) == max(taken) + 1
+            filled = {v: cell for v, cell in enumerate(table.tolist()) if cell is not None}
+            assert filled == {v: convert(v) for v in taken}
+
+    @pytest.mark.parametrize("depth", verify.DEPTHS)
+    def test_the_sink_gets_the_head_one_piece_per_chunk_and_the_tail(
+        self, monkeypatch, depth
+    ):
+        # a record is one '{"w": ' in JSON and one line in CSV
+        marks = {"json": b'{"w": ', "csv": b"\n"}
+        for n in range(1, 7):
+            report = verify.sweep(n, depth)
+            heads = {
+                "json": b'{"n": %d, "depth": "%s", "records": [' % (n, depth.encode()),
+                "csv": verify.CSV_HEADER.encode() + b"\n",
+            }
+            for chunk in EMIT_CHUNKS:
+                monkeypatch.setattr(verify, "_EMIT_CHUNK", chunk)
+                for fmt, mark in marks.items():
+                    sink = _SpySink()
+                    verify.write_report(report, sink, fmt)
+                    head, *pieces, tail = sink.pieces
+                    assert head == heads[fmt]
+                    if fmt == "csv":
+                        assert tail == b""
+                    else:
+                        assert tail.startswith(b'], "violations": ')
+                    assert len(pieces) == -(-factorial(n) // chunk), (n, chunk, fmt)
+                    records = [piece.count(mark) for piece in pieces]
+                    assert sum(records) == factorial(n)
+                    assert all(0 < count <= chunk for count in records), (n, chunk, fmt)
+                    assert sink.getvalue() == verify.emit_report(report, fmt)
 
     @pytest.mark.parametrize("depth", verify.DEPTHS)
     def test_csv_rows_parse_back_to_the_dicts(self, monkeypatch, depth):
